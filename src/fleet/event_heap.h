@@ -3,17 +3,16 @@
 //
 //   * sessions — keyed on min(next_local_event_time, planned leave time);
 //     refreshed whenever the session is processed;
-//   * shared links — every carrier with a completion registry: the shared
-//     Links of a plain fleet, or one entity per topology *channel* (spec
-//     paths plus the derived cache-hit prefix channels of cache-aware
-//     fleets, Topology::channel_count). Keyed on the carrier's earliest
-//     registered flow completion, refreshed *lazily*: the key is recomputed
-//     only when the link's flow-count epoch moved since the last sync. A
-//     completion
-//     target is a virtual-service integral value, invariant under
-//     population and capacity changes, so one O(log F) registry lookup per
-//     link replaces re-keying every riding session when a flow joins or
-//     leaves — the difference between O(log N) and O(N) per event.
+//   * shared links — one entity per topology *channel*, each with a
+//     completion registry (spec paths plus the derived cache-hit prefix
+//     channels of cache-aware fleets, Topology::channel_count). Keyed on
+//     the carrier's earliest registered flow completion, refreshed
+//     *lazily*: the key is recomputed only when the link's flow-count epoch
+//     moved since the last sync. A completion target is a virtual-service
+//     integral value, invariant under population and capacity changes, so
+//     one O(log F) registry lookup per link replaces re-keying every riding
+//     session when a flow joins or leaves — the difference between O(log N)
+//     and O(N) per event.
 //
 // Ties pop by entity id; link ids sit above all session ids, so a session's
 // own events at time t fire before completions surface at t — mirroring the
@@ -83,7 +82,7 @@ class EventHeap {
   BasicIndexedMinHeap<ArenaAllocator<HeapEntry>> heap_;
   Stats stats_;
   std::uint32_t link_base_;
-  /// Last-synced Link::epoch() per link; starts at a sentinel no real epoch
+  /// Last-synced Channel::epoch() per link; starts at a sentinel no real epoch
   /// takes so the first sync always refreshes.
   std::vector<std::uint64_t, ArenaAllocator<std::uint64_t>> link_epochs_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "util/strings.h"
@@ -209,7 +210,7 @@ FleetMetrics compute_fleet_metrics(const FleetResult& result) {
   metrics.jain_fairness_video = jain_fairness(video_kbps);
   metrics.jain_fairness_throughput = jain_fairness(throughput);
 
-  // Per-path groups (topology runs): fairness *within* each client→edge→core
+  // Per-path groups: fairness *within* each client→edge→core
   // shard, so a congested edge shows up as its own unfair group instead of
   // being averaged away in the fleet-wide numbers.
   if (!result.paths.empty()) {
@@ -252,6 +253,13 @@ FleetMetrics compute_fleet_metrics(const FleetResult& result) {
 
 namespace {
 
+/// Every link of the run in declaration order; a fleet without a
+/// configured topology has exactly one, reported as video_link.
+std::span<const LinkStats> run_links(const FleetResult& result) {
+  if (result.links.empty()) return {&result.video_link, 1};
+  return result.links;
+}
+
 void fingerprint_link(std::ostringstream& out, const LinkStats& stats) {
   out << "link " << stats.name << " "
       << format("observed=%.17g busy=%.17g flow_s=%.17g offered=%.17g "
@@ -293,12 +301,7 @@ std::string fleet_fingerprint(const FleetResult& result) {
                static_cast<unsigned long long>(result.client_digest))
         << " completed:" << s.completed << " departed:" << s.departed_early
         << "\n";
-    if (!result.links.empty()) {
-      for (const LinkStats& link : result.links) fingerprint_link(out, link);
-    } else {
-      fingerprint_link(out, result.video_link);
-      if (result.split_audio) fingerprint_link(out, result.audio_link);
-    }
+    for (const LinkStats& link : run_links(result)) fingerprint_link(out, link);
     fingerprint_cdns(out, result);
     if (result.timeline.has_value()) out << result.timeline->fingerprint();
     return out.str();
@@ -323,16 +326,10 @@ std::string fleet_fingerprint(const FleetResult& result) {
     for (const std::string& id : log.audio_selection) out << id << ";";
     out << "\n";
   }
-  // Topology runs serialize every link in declaration order; binding_s is
-  // deliberately absent from fingerprint_link (like `steps`, attribution is
-  // sensitive to tie-break conventions, not to behaviour). A single-link
-  // topology therefore prints the exact line a plain fleet prints.
-  if (!result.links.empty()) {
-    for (const LinkStats& link : result.links) fingerprint_link(out, link);
-  } else {
-    fingerprint_link(out, result.video_link);
-    if (result.split_audio) fingerprint_link(out, result.audio_link);
-  }
+  // Every link in declaration order; binding_s is deliberately absent from
+  // fingerprint_link (like `steps`, attribution is sensitive to tie-break
+  // conventions, not to behaviour).
+  for (const LinkStats& link : run_links(result)) fingerprint_link(out, link);
   fingerprint_cdns(out, result);
   if (result.timeline.has_value()) out << result.timeline->fingerprint();
   return out.str();
@@ -365,29 +362,23 @@ std::string summarize(const FleetResult& result, const FleetMetrics& metrics) {
                 metrics.buffer_imbalance_s.p50, metrics.buffer_imbalance_s.p90,
                 metrics.buffer_imbalance_s.max);
   out << format("  mean QoE: %.1f\n", metrics.mean_qoe);
-  const auto link_line = [&out, &result](const LinkStats& stats) {
+  for (const LinkStats& stats : run_links(result)) {
     out << format(
         "  link %s: utilization=%.3f busy=%.3f avg_flows=%.2f peak_flows=%d",
         stats.name.c_str(), stats.utilization(), stats.busy_fraction(),
         stats.avg_flows(), stats.peak_flows);
-    if (!result.links.empty() && result.end_time_s > 0.0) {
+    if (result.end_time_s > 0.0) {
       out << format(" binding=%.3f", stats.binding_s / result.end_time_s);
     }
     out << "\n";
-  };
-  if (!result.links.empty()) {
-    for (const LinkStats& stats : result.links) link_line(stats);
-    for (const FleetMetrics::PathGroup& group : metrics.path_groups) {
-      out << format(
-          "  path %s: clients=%d jain_video=%.4f jain_tput=%.4f "
-          "mean_kbps=%.0f stall_ratio=%.3f\n",
-          group.name.c_str(), group.clients, group.jain_fairness_video,
-          group.jain_fairness_throughput, group.mean_video_kbps,
-          group.mean_stall_ratio);
-    }
-  } else {
-    link_line(result.video_link);
-    if (result.split_audio) link_line(result.audio_link);
+  }
+  for (const FleetMetrics::PathGroup& group : metrics.path_groups) {
+    out << format(
+        "  path %s: clients=%d jain_video=%.4f jain_tput=%.4f "
+        "mean_kbps=%.0f stall_ratio=%.3f\n",
+        group.name.c_str(), group.clients, group.jain_fairness_video,
+        group.jain_fairness_throughput, group.mean_video_kbps,
+        group.mean_stall_ratio);
   }
   for (const CdnStats& cdn : result.cdns) {
     out << format(

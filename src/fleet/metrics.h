@@ -11,7 +11,6 @@
 #include <optional>
 
 #include "fleet/cdn_fleet.h"
-#include "fleet/shared_link.h"
 #include "fleet/topology.h"
 #include "media/track.h"
 #include "obs/profile.h"
@@ -28,8 +27,8 @@ struct ClientResult {
   std::string player;
   double arrival_s = 0.0;
   bool departed_early = false;  ///< churned out before content end
-  /// Topology runs only: path indices this client's media rode (audio ==
-  /// video unless the spec splits audio). -1 for single-link fleets.
+  /// Topology path indices this client's media rode (audio == video unless
+  /// the spec splits audio). -1 only in a hand-built result.
   int video_path = -1;
   int audio_path = -1;
   SessionLog log;
@@ -63,7 +62,7 @@ struct StreamingFleetStats {
   QuantileSketch startup_delay_s;
   QuantileSketch buffer_imbalance_s;
 
-  /// Per-video-path accumulators (topology runs; indexed like
+  /// Per-video-path accumulators (indexed like
   /// FleetResult::paths). Enough for the PathGroup table: counts, moments
   /// and the stall-ratio sum.
   struct PathAcc {
@@ -101,13 +100,13 @@ struct FleetResult {
   /// Identical across engines, thread counts and streaming/full modes — the
   /// determinism handle when per-client logs are not retained.
   std::uint64_t client_digest = 0;
-  LinkStats video_link;
-  LinkStats audio_link;  ///< duplicate of video_link when !split_audio
-  /// Topology runs: per-link stats in link-declaration order (video_link
-  /// then aliases the first entry for convenience) plus per-path closing
-  /// summaries. Both empty for single-link fleets.
+  /// FleetConfig::topology runs: per-link stats in link-declaration order
+  /// plus per-path closing summaries. Both empty for a fleet on the
+  /// implicit single bottleneck, which reports through video_link alone.
   std::vector<LinkStats> links;
   std::vector<PathSummary> paths;
+  /// The first link's stats (the bottleneck of a single-link fleet).
+  LinkStats video_link;
   /// Cache-aware runs: per-CDN-node closing stats, ascending link index
   /// (fleet/cdn_fleet.h). Part of the fingerprint — all-integer counters.
   std::vector<CdnStats> cdns;
@@ -145,9 +144,8 @@ struct FleetMetrics {
 
   double mean_qoe = 0.0;
 
-  /// Per-path aggregates of a topology run (the per-edge fairness table of
-  /// EXPERIMENTS.md). Grouped by the clients' video path; empty for
-  /// single-link fleets.
+  /// Per-path aggregates (the per-edge fairness table of EXPERIMENTS.md),
+  /// grouped by the clients' video path.
   struct PathGroup {
     std::string name;
     int clients = 0;

@@ -53,25 +53,8 @@ struct ChurnConfig {
 /// event heap (DESIGN.md §7 "Engine modes").
 enum class Engine {
   kBarrier,    ///< reference: global phase barriers over all active sessions
-  kEventHeap,  ///< default: indexed event heap + per-link completion registry
-  /// Pick per fleet size: the barrier's flat scan beats the heap's
-  /// pop/re-key round-trip when there is almost nobody to scan (measured
-  /// ~6.9M vs ~4.2M steps/s at 1 client), so populations at or below
-  /// kAutoBarrierMaxClients run kBarrier and everything larger kEventHeap.
-  /// Results are byte-identical either way, so the switch is pure policy.
-  kAuto,
+  kEventHeap,  ///< default: indexed event heap + per-channel completion registry
 };
-
-/// Largest client count Engine::kAuto serves with the barrier engine.
-inline constexpr std::size_t kAutoBarrierMaxClients = 2;
-
-/// The engine kAuto resolves to for a fleet of `clients`; identity for the
-/// explicit engines. Everything downstream of FleetConfig::engine (the
-/// scheduler dispatch, trace-track naming) sees only resolved values.
-[[nodiscard]] inline Engine resolve_engine(Engine engine, std::size_t clients) {
-  if (engine != Engine::kAuto) return engine;
-  return clients <= kAutoBarrierMaxClients ? Engine::kBarrier : Engine::kEventHeap;
-}
 
 /// Streaming-metrics mode switch (DESIGN.md §10): fleets at or above
 /// `client_threshold` clients drop per-session logs and aggregate into
@@ -92,11 +75,12 @@ struct FleetConfig {
   std::uint64_t seed = 1;
   Engine engine = Engine::kEventHeap;
 
-  /// Worker threads for parallel shard execution (fleet/shard.h): a
-  /// multi-component topology is partitioned into causally independent
-  /// shards that run concurrently and merge deterministically. 1 = today's
-  /// fully serial path; 0 = ThreadPool::default_thread_count(). Results are
-  /// byte-identical for every value (tests/test_fleet_shard.cpp).
+  /// Worker threads for the shards of a multi-component topology
+  /// (fleet/shard.h): run_fleet partitions every fleet into causally
+  /// independent shards and runs them on this many workers, merging
+  /// deterministically. 1 = a serial loop over the shards; 0 =
+  /// ThreadPool::default_thread_count(). Results are byte-identical for
+  /// every value (tests/test_fleet_shard.cpp).
   int threads = 1;
 
   StreamingMetricsConfig streaming;
@@ -118,11 +102,10 @@ struct FleetConfig {
   /// Per-request RTT of every client's network.
   double rtt_s = 0.05;
 
-  /// Multi-link topology (fleet/topology.h): when set, every client rides a
-  /// *path* of shared links (client → edge → core) chosen by the spec's
-  /// assignment vectors, and the scheduler's bottleneck/audio traces are
-  /// ignored. Unset = today's single shared bottleneck. A
-  /// TopologySpec::single() topology is byte-identical to unset.
+  /// Fleet topology (fleet/topology.h): every client rides a *path* of
+  /// shared links (client → edge → core) chosen by the spec's assignment
+  /// vectors, and the scheduler's bottleneck trace is ignored. Unset = one
+  /// shared bottleneck, i.e. TopologySpec::single(bottleneck).
   std::optional<TopologySpec> topology;
 
   /// Cache-aware fleets (fleet/cdn_fleet.h): configuration of the CDN nodes

@@ -1,8 +1,9 @@
 // FleetScheduler: the multi-client discrete-event engine. Interleaves N
-// StreamingSessions against shared bottleneck Links so processor sharing
-// spans *sessions*, not just one client's audio/video flows — the workload
-// class where the paper's §3.3 mis-estimation and §3.4 buffer-imbalance
-// pathologies compound across a population.
+// StreamingSessions over one fleet::Topology so processor sharing spans
+// *sessions*, not just one client's audio/video flows — the workload class
+// where the paper's §3.3 mis-estimation and §3.4 buffer-imbalance
+// pathologies compound across a population. Every fleet is a topology: a
+// FleetConfig without one runs on TopologySpec::single(bottleneck).
 //
 // Two engines produce bit-identical results (DESIGN.md §7 "Engine modes"):
 //
@@ -12,27 +13,26 @@
 //    integrate_to(t*), process_events, admissions. O(N) per step.
 //
 //  * kEventHeap (default): an indexed min-heap keys each session on its own
-//    next *local* event time and each shared link on its earliest
-//    registered completion (lazily re-keyed via the link's flow-count
+//    next *local* event time and each topology channel on its earliest
+//    registered completion (lazily re-keyed via the channel's flow-count
 //    epoch). Only the sessions with events at time t are touched; everyone
-//    else is advanced implicitly through the links' virtual-time service
+//    else is advanced implicitly through the channels' virtual-time service
 //    integrals. O(log N) per event.
 //
 // Identity holds because sessions derive all state from anchored values
 // that only change at their own events (sim/session.h), so barrier visits
 // at foreign event times are numerically invisible. Single-threaded and
-// deterministic; replications fan out across a ThreadPool.
+// deterministic; run_fleet fans a fleet's independent shards, and
+// run_replications its seeds, across a ThreadPool.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fleet/cdn_fleet.h"
 #include "fleet/metrics.h"
 #include "fleet/population.h"
-#include "fleet/shared_link.h"
 #include "fleet/topology.h"
 #include "manifest/view.h"
 #include "media/content.h"
@@ -44,15 +44,12 @@ namespace demuxabr::fleet {
 
 class FleetScheduler {
  public:
-  /// All clients stream `content` (which must outlive run()) through `view`.
-  /// `bottleneck` carries every client's audio and video; pass `audio_trace`
-  /// to put all audio flows on their own shared pipe instead (the §4.1
-  /// different-servers scenario at fleet scale). When
-  /// `config.topology` is set, both traces are ignored and every client
-  /// rides its assigned multi-link path instead (fleet/topology.h).
+  /// All clients stream `content` (which must outlive run()) through `view`
+  /// over `config.topology`, or over one link named "bottleneck" carrying
+  /// `bottleneck` when the config has no topology (`bottleneck` is ignored
+  /// otherwise). TopologySpec::split_audio puts audio on its own link.
   FleetScheduler(const Content& content, ManifestView view,
-                 BandwidthTrace bottleneck, FleetConfig config,
-                 std::optional<BandwidthTrace> audio_trace = std::nullopt);
+                 BandwidthTrace bottleneck, FleetConfig config);
 
   /// Run the whole population to completion (or churn/cap). Call once.
   FleetResult run();
@@ -61,8 +58,12 @@ class FleetScheduler {
 
   /// Run the engine over pre-built plans (arrival-sorted, ids dense in
   /// [0, plans.size()) — the shard runner renumbers) WITHOUT closing the
-  /// link books. Call once; follow with close_links().
-  FleetResult run_engine(const std::vector<ClientPlan>& plans);
+  /// link books. Call once; follow with close_links(). `global_ids` maps a
+  /// shard's local client ids back to the fleet's (FleetShard::client_ids)
+  /// so session trace tracks stay unique across shards; empty = the plan
+  /// ids are already global.
+  FleetResult run_engine(const std::vector<ClientPlan>& plans,
+                         const std::vector<int>& global_ids = {});
 
   /// Advance every link/path integral to `end_time` (idle tails included)
   /// and write the closing stats into `result`. The shard runner passes the
@@ -98,13 +99,13 @@ class FleetScheduler {
   /// Per-shard monotonic arena (DESIGN.md §12) backing run-lifetime engine
   /// state: every channel's completion registry, the event heap, drain
   /// scratch, and session pending-delivery queues. Declared before the
-  /// links/topology that allocate from it so it outlives them (members
-  /// destroy in reverse order). Single-threaded: each shard runs its own
-  /// scheduler, hence its own arena.
+  /// topology that allocates from it so it outlives it (members destroy in
+  /// reverse order). Single-threaded: each shard runs its own scheduler,
+  /// hence its own arena.
   MonotonicArena arena_;
-  SharedLink video_link_;  ///< unused when topology_ is set
-  std::optional<SharedLink> audio_link_;
-  std::optional<Topology> topology_;
+  Topology topology_;
+  /// Local client id -> fleet-wide id for trace tracks (run_engine).
+  std::vector<int> global_ids_;
   /// Cache-aware runs only: the origin catalog (possibly shared read-only
   /// across shards) and this run's cache plane / flow router.
   std::shared_ptr<const ObjectCatalog> catalog_;
@@ -118,9 +119,12 @@ class FleetScheduler {
   bool streaming_ = false;  ///< streaming-metrics mode active for this run
 };
 
-/// Convenience one-call runner. When `config.threads` != 1 and the topology
-/// splits into multiple connected components, dispatches to the parallel
-/// shard runner (fleet/shard.h) — results are byte-identical either way.
+/// The one fleet entry point (defined in fleet/shard.cpp): plans the
+/// population once, partitions the topology (TopologySpec::single(bottleneck)
+/// when the config has none) into connected components, and runs them —
+/// a single component as one FleetScheduler on `config`, several as shards
+/// on `config.threads` workers (1 = a serial loop) merged in shard order.
+/// Byte-identical to FleetScheduler(...).run() for every thread count.
 FleetResult run_fleet(const Content& content, const ManifestView& view,
                       const BandwidthTrace& bottleneck, const FleetConfig& config);
 

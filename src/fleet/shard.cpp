@@ -177,19 +177,20 @@ ShardPartition partition_fleet(const TopologySpec& spec,
   return partition;
 }
 
-FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
-                              const BandwidthTrace& bottleneck,
-                              const FleetConfig& config) {
-  assert(config.topology.has_value() && "shard runner needs a topology");
+FleetResult run_fleet(const Content& content, const ManifestView& view,
+                      const BandwidthTrace& bottleneck, const FleetConfig& config) {
+  assert(!config.players.empty() && "FleetConfig::players must be non-empty");
   const std::vector<ClientPlan> plans = plan_population(config);
-  ShardPartition partition = partition_fleet(*config.topology, plans);
+  const ShardPartition partition =
+      config.topology.has_value()
+          ? partition_fleet(*config.topology, plans)
+          : partition_fleet(TopologySpec::single(bottleneck), plans);
 
-  if (partition.shards.size() <= 1) {
-    FleetConfig serial = config;
-    serial.threads = 1;
-    FleetScheduler scheduler(content, view, bottleneck, serial);
-    return scheduler.run();
+  if (partition.shards.size() == 1) {
+    FleetScheduler scheduler(content, view, bottleneck, config);
+    return scheduler.run_plans(plans);
   }
+  // Several components: only a configured topology can have them.
 
   // The streaming decision is global (the threshold compares the *fleet*
   // size); shards then force it on or off explicitly so a small shard of a
@@ -230,11 +231,13 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
   // order never leaks: util/parallel.h).
   std::vector<FleetResult> results = fan_out_ordered(
       partition.shards.size(), config.threads, [&](std::size_t s) {
-        return schedulers[s]->run_engine(partition.shards[s].plans);
+        return schedulers[s]->run_engine(partition.shards[s].plans,
+                                         partition.shards[s].client_ids);
       });
 
   // Phase 2 — close every shard's link books at the global end time, so
-  // idle tails advance exactly as the whole-topology serial run's finalize.
+  // idle tails advance exactly as one scheduler's finalize over the whole
+  // topology.
   double end_time = 0.0;
   for (const FleetResult& r : results) end_time = std::max(end_time, r.end_time_s);
   for (std::size_t s = 0; s < results.size(); ++s) {
@@ -291,14 +294,10 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
     } else {
       for (ClientResult& client : result.clients) {
         client.id = shard.client_ids[static_cast<std::size_t>(client.id)];
-        if (client.video_path >= 0) {
-          client.video_path = static_cast<int>(
-              shard.path_ids[static_cast<std::size_t>(client.video_path)]);
-        }
-        if (client.audio_path >= 0) {
-          client.audio_path = static_cast<int>(
-              shard.path_ids[static_cast<std::size_t>(client.audio_path)]);
-        }
+        client.video_path = static_cast<int>(
+            shard.path_ids[static_cast<std::size_t>(client.video_path)]);
+        client.audio_path = static_cast<int>(
+            shard.path_ids[static_cast<std::size_t>(client.audio_path)]);
         merged.clients.push_back(std::move(client));
       }
     }
@@ -316,7 +315,6 @@ FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
   // run's cdn ordering (ascending link index).
   if (merged.timeline.has_value()) merged.timeline->normalize();
   merged.video_link = merged.links.front();
-  merged.audio_link = merged.video_link;
   return merged;
 }
 

@@ -1,28 +1,26 @@
-// Parallel shard execution (DESIGN.md §10): a TopologySpec whose link graph
+// Fleet partitioning (DESIGN.md §10): a TopologySpec whose link graph
 // splits into multiple connected components describes causally independent
 // sub-fleets — no flow on one component can ever change a rate, epoch or
 // completion time on another. partition_fleet() finds the components (union-
 // find over links, with each client's video and audio paths coupled into
-// the same component, since one session spans both), and run_fleet_sharded()
-// runs one event-heap engine per component concurrently on the work-
-// stealing ThreadPool, merging results deterministically in shard-id order
-// (util/parallel.h fan_out_ordered — the run_replications recipe applied
-// *within* one fleet).
+// the same component, since one session spans both). run_fleet()
+// (fleet/scheduler.h, defined in shard.cpp) partitions every fleet: one
+// component runs as a single FleetScheduler, several run one event engine
+// per component on the work-stealing ThreadPool and merge deterministically
+// in shard-id order (util/parallel.h fan_out_ordered — the run_replications
+// recipe applied *within* one fleet).
 //
 // Determinism argument: each shard simulates exactly the event sequence the
-// whole-topology serial engine would execute restricted to that component.
+// whole-topology engine would execute restricted to that component.
 // Client ids renumber monotonically (rank of global id within the shard),
 // so every same-time tie-break compares the same way; link books advance
 // only at their own component's population changes (affected sets never
 // cross components); and every shard's links close at the *global* max end
-// time. The merged fingerprint is therefore byte-identical to the
-// threads=1 whole-topology run for any thread count
-// (tests/test_fleet_shard.cpp pins {1, 2, 8}).
-//
-// Caveat: per-session trace tracks are keyed by shard-local client ids, so
-// obs traces of a sharded run overlay sessions from different shards on the
-// same track (metrics counters are sharded atomics and stay exact). Trace a
-// single shard, or run threads=1, when per-session traces matter.
+// time. The merged fingerprint is therefore byte-identical to one
+// FleetScheduler running the whole topology, for any thread count
+// (tests/test_fleet_shard.cpp pins {1, 2, 8}). Session trace tracks carry
+// the global client id (FleetShard::client_ids), so a traced sharded run
+// has one track per client.
 #pragma once
 
 #include <cstddef>
@@ -64,14 +62,5 @@ struct ShardPartition {
 /// its audio path is guaranteed co-located (coupled during the union).
 ShardPartition partition_fleet(const TopologySpec& spec,
                                const std::vector<ClientPlan>& plans);
-
-/// Run `config` (which must carry a topology) as parallel shards on
-/// `config.threads` workers (0 = hardware default) and merge. Byte-
-/// identical to the serial whole-topology run; falls back to it when the
-/// topology is a single component. `bottleneck` is unused (topology runs
-/// ignore it) but keeps the run_fleet signature.
-FleetResult run_fleet_sharded(const Content& content, const ManifestView& view,
-                              const BandwidthTrace& bottleneck,
-                              const FleetConfig& config);
 
 }  // namespace demuxabr::fleet

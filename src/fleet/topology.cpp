@@ -52,6 +52,15 @@ TopologySpec TopologySpec::single(BandwidthTrace trace, std::string name) {
   return spec;
 }
 
+TopologySpec TopologySpec::split_audio(BandwidthTrace video, BandwidthTrace audio) {
+  TopologySpec spec;
+  spec.add_path("video", {spec.add_link("video-bottleneck", std::move(video))});
+  spec.add_path("audio", {spec.add_link("audio-bottleneck", std::move(audio))});
+  spec.video_assignment = {0};
+  spec.audio_assignment = {1};
+  return spec;
+}
+
 TopologySpec TopologySpec::sharded(int edge_count, const BandwidthTrace& access,
                                    const BandwidthTrace& edge,
                                    const BandwidthTrace& core) {
@@ -257,8 +266,8 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
   // Derived hit channels: for every spec path with a cached hop, the route a
   // cache hit rides — the hop prefix ending at the cached link. When the
   // cached link is the last hop the full path already IS that route, so the
-  // hit reuses its channel (which also keeps a cached single-link topology
-  // bit-identical to the plain fleet: routing can never diverge there).
+  // hit reuses its channel (so a cached single-link topology routes hits
+  // and misses over the same channel).
   // Derived channels are full topology citizens — they join their links'
   // path lists, affected sets and rel spans below, so populations riding
   // them shape every fair share exactly like spec-path populations.
@@ -495,8 +504,8 @@ void Topology::advance_link(std::size_t l, double now) {
   if (node.saturating) {
     // Every traversing path is bottlenecked here alone: processor sharing
     // saturates the pipe, so delivered == offered while busy. This branch
-    // is expression-for-expression Link::advance_to — what keeps a
-    // single-link topology bit-identical to the plain fleet.
+    // is expression-for-expression Link::advance_to, so a single-link
+    // topology keeps the books a solo Link would.
     while (at < now) {
       const double boundary = node.trace.next_change_after(at);
       const double seg_end = std::min(boundary, now);

@@ -1,5 +1,7 @@
-// Multi-link fleet topologies: client → edge → core paths over a DAG of
-// named bottleneck links (ROADMAP "sharded multi-link topologies").
+// Fleet topologies: client → edge → core paths over a DAG of named
+// bottleneck links. Every fleet runs on one — a single shared bottleneck is
+// TopologySpec::single(), a split audio pipe TopologySpec::split_audio() —
+// so this is the fleet's only processor-sharing implementation.
 //
 // Each flow traverses a *path* of links and its instantaneous rate is the
 // minimum over the per-link processor-sharing fair shares
@@ -27,8 +29,8 @@
 // to the nested layout.
 //
 // A 1-hop path degenerates to net/link.h arithmetic expression-for-
-// expression, so a single-link topology reproduces the plain fleet
-// byte-for-byte (tests/test_fleet_topology.cpp pins this).
+// expression, so a one-hop path carries a flow exactly as the solo session's
+// Link does (tests/test_fleet_topology.cpp pins this against Link).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/shared_link.h"
 #include "net/bandwidth_trace.h"
 #include "net/channel.h"
 #include "obs/trace.h"
@@ -50,6 +51,35 @@ class TimelineShard;  // obs/telemetry.h
 }
 
 namespace demuxabr::fleet {
+
+/// Accumulated utilization of one shared link over a fleet run.
+struct LinkStats {
+  std::string name;
+  double observed_s = 0.0;      ///< total wall time observed
+  double busy_s = 0.0;          ///< time with >= 1 active flow
+  double flow_seconds = 0.0;    ///< integral of active_flows over time
+  double offered_kbit = 0.0;    ///< integral of capacity (what the pipe could carry)
+  double delivered_kbit = 0.0;  ///< integral of the rate the link actually carried
+  int peak_flows = 0;           ///< max concurrent flows across all sessions
+  /// Flows still registered when stats were taken. Zero after a clean fleet
+  /// run — anything else means a session leaked a processor-sharing slot.
+  int residual_flows = 0;
+  /// Total time [s] this link was some traversing path's binding
+  /// constraint (bottleneck attribution). Excluded from fingerprints.
+  double binding_s = 0.0;
+
+  /// Fraction of offered capacity actually used (a link that bottlenecks
+  /// every flow on it saturates while busy, so delivered == offered then).
+  [[nodiscard]] double utilization() const {
+    return offered_kbit > 0.0 ? delivered_kbit / offered_kbit : 0.0;
+  }
+  [[nodiscard]] double busy_fraction() const {
+    return observed_s > 0.0 ? busy_s / observed_s : 0.0;
+  }
+  [[nodiscard]] double avg_flows() const {
+    return observed_s > 0.0 ? flow_seconds / observed_s : 0.0;
+  }
+};
 
 /// A CDN cache co-located with a topology link (fleet/cdn_fleet.h). A
 /// request whose object is resident in the edge tier rides only the hop
@@ -105,9 +135,15 @@ struct TopologySpec {
   std::size_t add_link(std::string name, BandwidthTrace trace);
   std::size_t add_path(std::string name, std::vector<std::size_t> hops);
 
-  /// Degenerate 1-link / 1-path topology — byte-identical to the plain
-  /// single-bottleneck fleet (the default name matches FleetScheduler's).
+  /// 1-link / 1-path topology: the shared bottleneck every client's audio
+  /// and video contend on. FleetScheduler runs a config without a topology
+  /// on single(bottleneck).
   static TopologySpec single(BandwidthTrace trace, std::string name = "bottleneck");
+
+  /// Every client's video on link "video-bottleneck" and its audio on link
+  /// "audio-bottleneck" (the §4.1 different-servers scenario at fleet
+  /// scale): two 1-hop paths, "video" and "audio".
+  static TopologySpec split_audio(BandwidthTrace video, BandwidthTrace audio);
 
   /// Client → edge → core shards: `edge_count` regions, each with its own
   /// access + edge link, all funnelling into one core uplink. Path i =

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace demuxabr {
@@ -24,20 +24,13 @@ void Link::advance_to(double t) {
     const double seg_end = std::min(boundary, t);
     const double dt = seg_end - at;
     if (dt <= 0.0) break;  // defensive: a trace must advance time
-    const double kbps = trace_.rate_kbps(at);
-    const double offered = kbps * dt;
+    const double offered = trace_.rate_kbps(at) * dt;
     offered_kbit_ += offered;
     flow_seconds_ += static_cast<double>(active_flows_) * dt;
     if (active_flows_ > 0) {
       busy_s_ += dt;
       delivered_kbit_ += offered;
       service_kbit_ += offered * inv_flows;
-    }
-    if (telemetry_ != nullptr) {
-      // Same segment partition as the integrals above, so the binned series
-      // is engine-identical whenever the flow schedule is.
-      telemetry_->link_segment(telemetry_slot_, at, seg_end, active_flows_,
-                               kbps, active_flows_ > 0 ? kbps : 0.0);
     }
     at = seg_end;
   }
@@ -50,7 +43,7 @@ double Link::add_flow(double now) {
   peak_flows_ = std::max(peak_flows_, active_flows_);
   ++epoch_;
   DMX_COUNT("link.flows_added", 1);
-  DMX_TRACE_COUNTER(obs::kCatLink, trace_track_, "active_flows", now,
+  DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
   return service_kbit_;
 }
@@ -67,7 +60,7 @@ void Link::remove_flow(double now) {
   --active_flows_;
   ++epoch_;
   DMX_COUNT("link.flows_removed", 1);
-  DMX_TRACE_COUNTER(obs::kCatLink, trace_track_, "active_flows", now,
+  DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
 }
 

@@ -18,6 +18,11 @@
 // times), every derived quantity — delivered bytes, predicted completion
 // times, utilization integrals — is a pure function of identical state in
 // both engines and therefore bit-identical between them.
+//
+// Link is the solo session's carrier (Network::shared / Network::split).
+// Fleets run every flow through fleet::Topology's PathChannel, whose one-hop
+// arithmetic is Link's expression for expression (tests/
+// test_fleet_topology.cpp keeps Link as the reference for that).
 #pragma once
 
 #include <algorithm>
@@ -27,31 +32,19 @@
 
 #include "net/bandwidth_trace.h"
 #include "net/channel.h"
-#include "obs/trace.h"
-#include "util/arena.h"
 #include "util/indexed_min_heap.h"
 
 namespace demuxabr {
-
-namespace obs {
-class TimelineShard;  // obs/telemetry.h
-}
 
 /// A link carrying 0..N concurrent flows. Capacity follows a BandwidthTrace;
 /// active flows share it equally (TCP-fair approximation). The simulation
 /// engine registers/unregisters flows (with the current time, so the service
 /// integral can advance) and reads service integrals and completion
 /// predictions. This is the single-bottleneck Channel; fleet::PathChannel
-/// composes several Links into a multi-hop carrier.
+/// is the multi-hop carrier fleets use.
 class Link final : public Channel {
  public:
-  /// `arena` (optional, must outlive the link) backs the completion
-  /// registry's storage: fleet schedulers pass their per-shard arena so
-  /// registry growth in the drain loop bump-allocates instead of hitting
-  /// the heap. Null (the default, all solo uses) falls back to the heap.
-  explicit Link(BandwidthTrace trace, MonotonicArena* arena = nullptr)
-      : trace_(std::move(trace)),
-        completions_(ArenaAllocator<HeapEntry>(arena)) {}
+  explicit Link(BandwidthTrace trace) : trace_(std::move(trace)) {}
 
   /// Register one flow at time `now` (>= every earlier mutation time).
   /// Returns the service integral at `now` — the joining flow's v_start.
@@ -64,11 +57,10 @@ class Link final : public Channel {
   void remove_flow(double now) override;
 
   [[nodiscard]] int active_flows() const override { return active_flows_; }
-  /// Highest concurrent flow count ever observed (cross-session contention
-  /// headline for shared fleet links).
+  /// Highest concurrent flow count ever observed.
   [[nodiscard]] int peak_flows() const { return peak_flows_; }
-  /// Bumped on every population change; the fleet event engine uses it to
-  /// detect that completion predictions keyed on this link went stale.
+  /// Bumped on every population change: completion predictions keyed on
+  /// this link went stale.
   [[nodiscard]] std::uint64_t epoch() const override { return epoch_; }
 
   /// Per-flow cumulative service [kbit] at `t` >= the last mutation time.
@@ -85,9 +77,9 @@ class Link final : public Channel {
   // --- Completion registry (virtual-service targets). ---
   //
   // Targets are *invariant* under population and capacity changes — only
-  // their wall-clock translation moves. The registry is what lets a fleet
-  // engine ask one O(1) question per link ("who finishes first, and when?")
-  // instead of re-deriving a prediction per flow per event.
+  // their wall-clock translation moves. The registry answers one O(1)
+  // question per link ("who finishes first, and when?") instead of
+  // re-deriving a prediction per flow per event.
 
   /// Register/refresh the completion target of flow `token` (caller-chosen
   /// dense id, unique per in-flight flow on this link).
@@ -127,8 +119,8 @@ class Link final : public Channel {
   // --- Utilization accounting (integrated alongside the service curve). ---
   //
   // Advanced at the same lazy points as V(t), so busy time, flow-seconds
-  // and offered/delivered capacity integrals are partitioned identically in
-  // every engine that produces the same flow schedule.
+  // and offered/delivered capacity integrals are partitioned by the flow
+  // schedule alone.
 
   /// Advance the accounting (and service) integrals to `t` without changing
   /// the population — call once at the end of a run to close the books.
@@ -142,19 +134,6 @@ class Link final : public Channel {
 
   [[nodiscard]] const BandwidthTrace& trace() const { return trace_; }
 
-  /// Observability track id (one trace track per link). Fleet schedulers
-  /// assign obs::kLinkTrackBase + link index; solo links keep the base.
-  void set_trace_track(std::uint32_t track) { trace_track_ = track; }
-  [[nodiscard]] std::uint32_t trace_track() const { return trace_track_; }
-
-  /// Wire the time-binned telemetry sink (obs/telemetry.h): every lazily
-  /// advanced accounting segment is also reported as slot `slot`'s series.
-  /// Null (default) costs one branch per segment.
-  void set_telemetry(obs::TimelineShard* telemetry, std::size_t slot) {
-    telemetry_ = telemetry;
-    telemetry_slot_ = slot;
-  }
-
  private:
   /// Advance the service + accounting integrals from clock_s_ to t with the
   /// current population, walking capacity segments so time-varying traces
@@ -165,9 +144,6 @@ class Link final : public Channel {
   int active_flows_ = 0;
   int peak_flows_ = 0;
   std::uint64_t epoch_ = 0;
-  std::uint32_t trace_track_ = obs::kLinkTrackBase;
-  obs::TimelineShard* telemetry_ = nullptr;
-  std::size_t telemetry_slot_ = 0;
 
   double clock_s_ = 0.0;    ///< time up to which all integrals are advanced
   double service_kbit_ = 0.0;  ///< V(clock_s_): per-flow service integral
@@ -177,8 +153,8 @@ class Link final : public Channel {
   double offered_kbit_ = 0.0;
   double delivered_kbit_ = 0.0;
 
-  /// v_target [kbit] per in-flight flow token; arena-backed in fleets.
-  BasicIndexedMinHeap<ArenaAllocator<HeapEntry>> completions_;
+  /// v_target [kbit] per in-flight flow token.
+  IndexedMinHeap completions_;
 };
 
 /// The network between client and server(s): one carrier per media type.

@@ -17,7 +17,7 @@
 // (llround to µs or kbit-milli at the hook site) combined only with
 // wrapping adds and integer mins — associative and commutative — so
 // event-ordering differences between the barrier and event-heap engines,
-// and shard-merge order under run_fleet_sharded, cannot change a single
+// and shard-merge order under run_fleet, cannot change a single
 // bit. Hooks fire only at instants both engines visit identically: session
 // sample ticks, link flow-population changes, CDN admissions, arrivals and
 // session-clock departures. Each shard owns one TimelineShard; merge() in

@@ -6,10 +6,11 @@
 //     fewer bytes than the identical cache-less run, while a cached *last*
 //     hop reuses the full channel and leaves client outcomes untouched.
 //  2. Determinism: fleet fingerprints with caches enabled are byte-identical
-//     between the barrier and event-heap engines, and between the serial
-//     whole-topology path (threads=1) and sharded runs at threads {2, 8} in
-//     both full-log and streaming-metrics mode — cache state is shard-local
-//     and all mutations happen inside begin_step (sim/flow_router.h).
+//     between the barrier and event-heap engines, and between one
+//     FleetScheduler over the whole topology and run_fleet's sharded runs
+//     at threads {1, 2, 8} in both full-log and streaming-metrics mode —
+//     cache state is shard-local and all mutations happen inside
+//     begin_step (sim/flow_router.h).
 //  3. Accounting: per-node CdnStats counters add up and residency respects
 //     the configured capacity.
 //  4. The paper's §1 storage axis at fleet scale: a demuxed origin catalog
@@ -189,13 +190,13 @@ TEST(CacheFleet, ShardedFingerprintByteIdenticalAcrossThreadCounts) {
   const auto catalog = make_fleet_catalog(setup.content, StorageMode::kDemuxed);
   config.topology = cached_chains(4, 1800.0, 3600.0, catalog->total_bytes() / 8);
 
-  config.threads = 1;  // serial whole-topology reference
+  // Unpartitioned reference: one scheduler over the whole topology.
   const FleetResult serial =
-      run_fleet(setup.content, setup.view, unused, config);
+      FleetScheduler(setup.content, setup.view, unused, config).run();
   const std::string expected = fleet_fingerprint(serial);
   ASSERT_EQ(serial.cdns.size(), 4u);
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     config.threads = threads;
     const FleetResult sharded =
         run_fleet(setup.content, setup.view, unused, config);
@@ -225,14 +226,13 @@ TEST(CacheFleet, StreamingModeFingerprintIdenticalAcrossThreadCounts) {
   config.topology = cached_chains(3, 2000.0, 4200.0, catalog->total_bytes() / 8);
   config.streaming.client_threshold = 1;  // streaming mode always on
 
-  config.threads = 1;
   const FleetResult serial =
-      run_fleet(setup.content, setup.view, unused, config);
+      FleetScheduler(setup.content, setup.view, unused, config).run();
   ASSERT_TRUE(serial.streaming.has_value());
   ASSERT_EQ(serial.cdns.size(), 3u);
   const std::string expected = fleet_fingerprint(serial);
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     config.threads = threads;
     const FleetResult sharded =
         run_fleet(setup.content, setup.view, unused, config);

@@ -15,6 +15,7 @@
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
+#include "fleet/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
 
@@ -225,21 +226,25 @@ TEST(Fleet, ChurnReleasesSharedLinkSlots) {
 TEST(Fleet, SplitAudioPathTracksBothLinks) {
   const ex::ExperimentSetup setup =
       ex::plain_dash(BandwidthTrace::constant(1000.0), "split");
-  const FleetConfig config = base_config(2, 3);
-  FleetScheduler scheduler(setup.content, setup.view,
-                           BandwidthTrace::constant(2000.0), config,
-                           BandwidthTrace::constant(256.0));
-  const FleetResult result = scheduler.run();
+  FleetConfig config = base_config(2, 3);
+  config.topology = TopologySpec::split_audio(BandwidthTrace::constant(2000.0),
+                                              BandwidthTrace::constant(256.0));
+  const FleetResult result =
+      run_fleet(setup.content, setup.view, setup.trace, config);
 
   EXPECT_TRUE(result.split_audio);
-  EXPECT_GT(result.video_link.busy_s, 0.0);
-  EXPECT_GT(result.audio_link.busy_s, 0.0);
+  ASSERT_EQ(result.links.size(), 2u);
+  const LinkStats& video = result.links[0];
+  const LinkStats& audio = result.links[1];
+  EXPECT_GT(video.busy_s, 0.0);
+  EXPECT_GT(audio.busy_s, 0.0);
+  EXPECT_EQ(video.name, "video-bottleneck");
+  EXPECT_EQ(audio.name, "audio-bottleneck");
   EXPECT_EQ(result.video_link.name, "video-bottleneck");
-  EXPECT_EQ(result.audio_link.name, "audio-bottleneck");
   // Utilization is a fraction of offered capacity.
-  EXPECT_GE(result.video_link.utilization(), 0.0);
-  EXPECT_LE(result.video_link.utilization(), 1.0 + 1e-9);
-  EXPECT_LE(result.audio_link.utilization(), 1.0 + 1e-9);
+  EXPECT_GE(video.utilization(), 0.0);
+  EXPECT_LE(video.utilization(), 1.0 + 1e-9);
+  EXPECT_LE(audio.utilization(), 1.0 + 1e-9);
 }
 
 /// Run one config under both engines and require byte-identical outcomes:
@@ -282,42 +287,6 @@ TEST(CrossEngine, IdenticalOnPaperTraceAcrossFleetSizes) {
   }
 }
 
-TEST(CrossEngine, AutoEngineMatchesBothExplicitEngines) {
-  // kAuto is pure dispatch policy: at every fleet size — and in particular
-  // on both sides of the barrier/heap switch at kAutoBarrierMaxClients — it
-  // must produce the exact fingerprint both explicit engines produce.
-  EXPECT_EQ(resolve_engine(Engine::kAuto, 1), Engine::kBarrier);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, kAutoBarrierMaxClients),
-            Engine::kBarrier);
-  EXPECT_EQ(resolve_engine(Engine::kAuto, kAutoBarrierMaxClients + 1),
-            Engine::kEventHeap);
-  EXPECT_EQ(resolve_engine(Engine::kBarrier, 1000), Engine::kBarrier);
-  EXPECT_EQ(resolve_engine(Engine::kEventHeap, 1), Engine::kEventHeap);
-
-  const ex::ExperimentSetup setup =
-      ex::plain_dash(ex::varying_600_trace(), "auto-engine");
-  for (const std::size_t n : {std::size_t{1}, kAutoBarrierMaxClients,
-                              kAutoBarrierMaxClients + 1, std::size_t{10}}) {
-    SCOPED_TRACE("clients=" + std::to_string(n));
-    FleetConfig config = base_config(static_cast<int>(n), 29);
-    config.arrivals = ArrivalProcess::kDeterministic;
-    config.arrival_interval_s = 5.0;
-    const BandwidthTrace bottleneck =
-        BandwidthTrace::constant(600.0 * static_cast<double>(n) + 900.0);
-
-    std::string fingerprints[3];
-    int i = 0;
-    for (const Engine engine :
-         {Engine::kAuto, Engine::kBarrier, Engine::kEventHeap}) {
-      config.engine = engine;
-      fingerprints[i++] =
-          fleet_fingerprint(run_fleet(setup.content, setup.view, bottleneck, config));
-    }
-    EXPECT_EQ(fingerprints[0], fingerprints[1]);
-    EXPECT_EQ(fingerprints[0], fingerprints[2]);
-  }
-}
-
 TEST(CrossEngine, IdenticalOnSplitAudioPath) {
   const ex::ExperimentSetup setup =
       ex::plain_dash(BandwidthTrace::constant(1000.0), "cross-split");
@@ -325,17 +294,14 @@ TEST(CrossEngine, IdenticalOnSplitAudioPath) {
   config.arrivals = ArrivalProcess::kDeterministic;
   config.arrival_interval_s = 7.0;
 
-  config.engine = Engine::kBarrier;
-  FleetScheduler barrier_sched(setup.content, setup.view,
-                               BandwidthTrace::constant(2000.0), config,
-                               BandwidthTrace::constant(256.0));
-  const FleetResult barrier = barrier_sched.run();
+  config.topology = TopologySpec::split_audio(BandwidthTrace::constant(2000.0),
+                                              BandwidthTrace::constant(256.0));
 
+  config.engine = Engine::kBarrier;
+  const FleetResult barrier =
+      run_fleet(setup.content, setup.view, setup.trace, config);
   config.engine = Engine::kEventHeap;
-  FleetScheduler heap_sched(setup.content, setup.view,
-                            BandwidthTrace::constant(2000.0), config,
-                            BandwidthTrace::constant(256.0));
-  const FleetResult heap = heap_sched.run();
+  const FleetResult heap = run_fleet(setup.content, setup.view, setup.trace, config);
 
   EXPECT_EQ(fleet_fingerprint(barrier), fleet_fingerprint(heap));
 }

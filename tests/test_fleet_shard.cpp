@@ -5,12 +5,13 @@
 //     smallest link index, sub-specs validate, dark links fold into shard
 //     0, client ids renumber monotonically and audio paths stay coupled
 //     with their video paths.
-//  2. Determinism: fleet fingerprints are byte-identical between threads=1
-//     (the serial whole-topology path) and sharded runs at threads {2, 8,
-//     0=hardware}, in both full-log and streaming-metrics mode. These runs
-//     execute shard engines concurrently on the ThreadPool, so the fleet
-//     binary doubles as the TSan coverage of the shard runner (CI runs
-//     ctest -LE fleet_large under -fsanitize=thread).
+//  2. Determinism: fleet fingerprints are byte-identical between one
+//     FleetScheduler running the whole topology unpartitioned and run_fleet's
+//     sharded runs at threads {1, 2, 8, 0=hardware}, in both full-log and
+//     streaming-metrics mode. These runs execute shard engines concurrently
+//     on the ThreadPool, so the fleet binary doubles as the TSan coverage
+//     of the shard runner (CI runs ctest -LE fleet_large under
+//     -fsanitize=thread).
 //  3. Streaming-vs-full equivalence: identical seeds, one run retaining
 //     every log and one aggregating O(1)-per-client — exact fields (counts,
 //     digest, fairness, means) agree to float noise, percentiles agree
@@ -174,6 +175,14 @@ TEST(PartitionFleet, SingleComponentYieldsOneShard) {
 
 // --- 2. Determinism: byte-identical fingerprints across thread counts. ---
 
+/// The unpartitioned reference: one scheduler over the whole topology.
+/// (run_fleet partitions at every thread count, threads=1 included.)
+FleetResult whole_topology(const ex::ExperimentSetup& setup,
+                           const BandwidthTrace& bottleneck, const FleetConfig& config) {
+  FleetScheduler scheduler(setup.content, setup.view, bottleneck, config);
+  return scheduler.run();
+}
+
 TEST(ShardedFleet, FullLogFingerprintByteIdenticalAcrossThreadCounts) {
   const ex::ExperimentSetup setup =
       ex::plain_dash(ex::varying_600_trace(), "shard-threads");
@@ -187,13 +196,11 @@ TEST(ShardedFleet, FullLogFingerprintByteIdenticalAcrossThreadCounts) {
   config.churn.max_watch_s = 90.0;
   config.topology = disjoint_chains(4, 1800.0, 3600.0);
 
-  config.threads = 1;  // the serial whole-topology reference path
-  const FleetResult serial =
-      run_fleet(setup.content, setup.view, unused, config);
+  const FleetResult serial = whole_topology(setup, unused, config);
   const std::string expected = fleet_fingerprint(serial);
   ASSERT_EQ(serial.clients.size(), 12u);
 
-  for (const int threads : {2, 8, 0}) {
+  for (const int threads : {1, 2, 8, 0}) {
     config.threads = threads;
     const FleetResult sharded =
         run_fleet(setup.content, setup.view, unused, config);
@@ -214,14 +221,12 @@ TEST(ShardedFleet, StreamingFingerprintByteIdenticalAcrossThreadCounts) {
   config.topology = disjoint_chains(3, 2000.0, 4200.0);
   config.streaming.client_threshold = 1;  // streaming mode always on
 
-  config.threads = 1;
-  const FleetResult serial =
-      run_fleet(setup.content, setup.view, unused, config);
+  const FleetResult serial = whole_topology(setup, unused, config);
   ASSERT_TRUE(serial.streaming.has_value());
   EXPECT_TRUE(serial.clients.empty());
   const std::string expected = fleet_fingerprint(serial);
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     config.threads = threads;
     const FleetResult sharded =
         run_fleet(setup.content, setup.view, unused, config);
@@ -263,33 +268,36 @@ TEST(ShardedFleet, SplitAudioShardedMatchesSerial) {
   config.arrival_interval_s = 5.0;
   config.topology = std::move(spec);
 
-  config.threads = 1;
-  const FleetResult serial =
-      run_fleet(setup.content, setup.view, unused, config);
+  const FleetResult serial = whole_topology(setup, unused, config);
   EXPECT_TRUE(serial.split_audio);
-  config.threads = 4;
-  const FleetResult sharded =
-      run_fleet(setup.content, setup.view, unused, config);
-  EXPECT_TRUE(sharded.split_audio);
-  EXPECT_EQ(fleet_fingerprint(sharded), fleet_fingerprint(serial));
-  // Path attribution survives the local→global renumbering.
-  for (const ClientResult& client : sharded.clients) {
-    EXPECT_NE(client.video_path, client.audio_path);
+  for (const int threads : {1, 4}) {
+    config.threads = threads;
+    const FleetResult sharded =
+        run_fleet(setup.content, setup.view, unused, config);
+    EXPECT_TRUE(sharded.split_audio);
+    EXPECT_EQ(fleet_fingerprint(sharded), fleet_fingerprint(serial))
+        << "threads=" << threads;
+    // Path attribution survives the local→global renumbering.
+    for (const ClientResult& client : sharded.clients) {
+      EXPECT_NE(client.video_path, client.audio_path);
+    }
   }
 }
 
 TEST(ShardedFleet, ThreadsWithoutTopologyStaysSerialPath) {
-  // threads != 1 with no topology has nothing to shard: same result object
-  // through the plain serial path.
+  // With no topology the fleet is one bottleneck link — one shard — so any
+  // thread count runs the single scheduler.
   const ex::ExperimentSetup setup =
       ex::plain_dash(ex::varying_600_trace(), "shard-notopo");
   const BandwidthTrace trace = BandwidthTrace::constant(2500.0);
   FleetConfig config = base_config(4, 21);
-  config.threads = 1;
-  const FleetResult serial = run_fleet(setup.content, setup.view, trace, config);
-  config.threads = 8;
-  const FleetResult threaded = run_fleet(setup.content, setup.view, trace, config);
-  EXPECT_EQ(fleet_fingerprint(threaded), fleet_fingerprint(serial));
+  const std::string expected = fleet_fingerprint(whole_topology(setup, trace, config));
+  for (const int threads : {1, 8}) {
+    config.threads = threads;
+    EXPECT_EQ(fleet_fingerprint(run_fleet(setup.content, setup.view, trace, config)),
+              expected)
+        << "threads=" << threads;
+  }
 }
 
 // --- 3. Streaming-vs-full equivalence on identical seeds. ---

@@ -2,9 +2,7 @@
 //
 //  1. Differential: kBarrier and kEventHeap produce byte-identical fleet
 //     fingerprints on >=3-link client→edge→core topologies, heterogeneous
-//     edges, a shared-core-only variant and a split audio path — and the
-//     degenerate single-link topology reproduces the plain fleet's
-//     fingerprint bit for bit.
+//     edges, a shared-core-only variant and a split audio path.
 //  2. Property: a seeded random-topology generator (depth <= 3, fan-in
 //     <= 8, 200+ cases) drives random flow schedules straight against the
 //     Topology oracle and checks conservation (flow bytes partition each
@@ -142,7 +140,7 @@ TEST(TopologyCrossEngine, HeterogeneousEdgeCapacitiesWithChurn) {
 
 TEST(TopologyCrossEngine, SharedCoreOnlyVariant) {
   // Every path is the bare shared core — several 1-hop paths over one link
-  // (the plain fleet expressed as a topology, with per-path accounting).
+  // (the single-bottleneck fleet with per-path accounting).
   const ex::ExperimentSetup setup = ex::plain_dash(ex::varying_600_trace(), "core-only");
   FleetConfig config = base_config(6, 5);
   config.arrivals = ArrivalProcess::kDeterministic;
@@ -189,31 +187,6 @@ TEST(TopologyCrossEngine, SplitAudioPath) {
   // The audio pipe saw traffic on every client.
   ASSERT_EQ(result.links.size(), 3u);
   EXPECT_GT(result.links[2].busy_s, 0.0);
-}
-
-TEST(TopologyDegenerate, SingleLinkTopologyMatchesPlainFleetBitForBit) {
-  const ex::ExperimentSetup setup = ex::plain_dash(ex::varying_600_trace(), "degen");
-  const BandwidthTrace trace = BandwidthTrace::constant(2500.0);
-  FleetConfig config = base_config(4, 21);
-  config.arrivals = ArrivalProcess::kPoisson;
-  config.arrival_rate_per_s = 0.2;
-  config.churn.leave_probability = 0.5;
-  config.churn.min_watch_s = 20.0;
-  config.churn.max_watch_s = 90.0;
-
-  for (const Engine engine : {Engine::kBarrier, Engine::kEventHeap}) {
-    FleetConfig plain = config;
-    plain.engine = engine;
-    const FleetResult plain_result =
-        run_fleet(setup.content, setup.view, trace, plain);
-
-    FleetConfig degenerate = plain;
-    degenerate.topology = TopologySpec::single(trace);
-    const FleetResult topo_result =
-        run_fleet(setup.content, setup.view, trace, degenerate);
-
-    EXPECT_EQ(fleet_fingerprint(plain_result), fleet_fingerprint(topo_result));
-  }
 }
 
 // --- 2. Property suite over a seeded random-topology generator. ---
@@ -413,27 +386,31 @@ TEST(TopologyProperty, OneHopPathIsBitIdenticalToPlainLink) {
 
 // --- 3. Regression tests. ---
 
-TEST(TopologyRegression, SharedLinkFinalizeOnNeverUsedLink) {
+TEST(TopologyRegression, IdleAndZeroCapacityLinksFinalizeClean) {
   // Idle-tail accounting: a link nobody ever rode still closes its books.
-  SharedLink idle(BandwidthTrace::constant(1000.0), "idle");
-  idle.finalize(120.0);
-  const LinkStats stats = idle.stats();
-  EXPECT_DOUBLE_EQ(stats.observed_s, 120.0);
-  EXPECT_DOUBLE_EQ(stats.busy_s, 0.0);
-  EXPECT_DOUBLE_EQ(stats.delivered_kbit, 0.0);
-  EXPECT_DOUBLE_EQ(stats.offered_kbit, 120.0 * 1000.0);
-  EXPECT_DOUBLE_EQ(stats.utilization(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.avg_flows(), 0.0);
-  EXPECT_EQ(stats.residual_flows, 0);
-
   // 0/0 guard: a zero-capacity link offers nothing; utilization must come
   // back 0, not NaN.
-  SharedLink dead(BandwidthTrace::constant(0.0), "dead");
-  dead.finalize(60.0);
-  const LinkStats dead_stats = dead.stats();
-  EXPECT_DOUBLE_EQ(dead_stats.offered_kbit, 0.0);
-  EXPECT_DOUBLE_EQ(dead_stats.utilization(), 0.0);
-  EXPECT_FALSE(std::isnan(dead_stats.utilization()));
+  TopologySpec spec;
+  spec.add_path("idle", {spec.add_link("idle", BandwidthTrace::constant(1000.0))});
+  spec.add_path("dead", {spec.add_link("dead", BandwidthTrace::constant(0.0))});
+  Topology topo(std::move(spec));
+  topo.finalize(120.0);
+
+  const std::vector<LinkStats> stats = topo.link_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  const LinkStats& idle = stats[0];
+  EXPECT_DOUBLE_EQ(idle.observed_s, 120.0);
+  EXPECT_DOUBLE_EQ(idle.busy_s, 0.0);
+  EXPECT_DOUBLE_EQ(idle.delivered_kbit, 0.0);
+  EXPECT_DOUBLE_EQ(idle.offered_kbit, 120.0 * 1000.0);
+  EXPECT_DOUBLE_EQ(idle.utilization(), 0.0);
+  EXPECT_DOUBLE_EQ(idle.avg_flows(), 0.0);
+  EXPECT_EQ(idle.residual_flows, 0);
+
+  const LinkStats& dead = stats[1];
+  EXPECT_DOUBLE_EQ(dead.offered_kbit, 0.0);
+  EXPECT_DOUBLE_EQ(dead.utilization(), 0.0);
+  EXPECT_FALSE(std::isnan(dead.utilization()));
 }
 
 TEST(TopologyRegression, NeverUsedTopologyLinkFinalizesClean) {

@@ -232,7 +232,9 @@ TEST(FleetTelemetry, ShardMergeIsByteIdenticalAcrossThreadCounts) {
   FleetConfig config = telemetry_fleet_config(12);
   config.topology = telemetry_chains();
 
-  std::vector<std::string> fingerprints;
+  // Unpartitioned reference: one scheduler over the whole topology.
+  const std::string expected = fleet_fingerprint(
+      fleet::FleetScheduler(setup.content, setup.view, setup.trace, config).run());
   for (const int threads : {1, 2, 8}) {
     config.threads = threads;
     const fleet::FleetResult result =
@@ -243,10 +245,8 @@ TEST(FleetTelemetry, ShardMergeIsByteIdenticalAcrossThreadCounts) {
     ASSERT_EQ(result.timeline->links.size(), 6u);
     EXPECT_EQ(result.timeline->links[0].name, "edge-0");
     EXPECT_EQ(result.timeline->links[5].name, "core-2");
-    fingerprints.push_back(fleet_fingerprint(result));
+    EXPECT_EQ(fleet_fingerprint(result), expected) << "threads=" << threads;
   }
-  EXPECT_EQ(fingerprints[0], fingerprints[1]);
-  EXPECT_EQ(fingerprints[0], fingerprints[2]);
 }
 
 TEST(FleetTelemetry, StreamingMetricsModeKeepsTimelineIdentical) {

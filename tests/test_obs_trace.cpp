@@ -21,6 +21,7 @@
 #include "fleet/metrics.h"
 #include "fleet/scheduler.h"
 #include "players/exoplayer.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace demuxabr::obs {
@@ -429,6 +430,49 @@ TEST(ChromeTrace, TracingIsPurelyObservational) {
     traced_fingerprint = fleet::fleet_fingerprint(traced);
   }
   EXPECT_EQ(fleet::fleet_fingerprint(untraced), traced_fingerprint);
+}
+
+TEST(ChromeTrace, ShardedFleetNamesOneTrackPerGlobalClient) {
+  // Two disjoint chains partition into two shards; each shard numbers its
+  // clients from 0, so session tracks must come from the global ids or the
+  // shards' sessions would overlay each other on the same tracks.
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(900.0), "sharded-trace");
+  FleetConfig config = trace_fleet_config();
+  fleet::TopologySpec spec;
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t edge =
+        spec.add_link(format("edge-%d", i), BandwidthTrace::constant(3000.0));
+    const std::size_t core =
+        spec.add_link(format("core-%d", i), BandwidthTrace::constant(2500.0));
+    spec.add_path(format("chain-%d", i), {edge, core});
+  }
+  config.topology = std::move(spec);
+
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(format("threads=%d", threads));
+    config.threads = threads;
+    CaptureSink sink;
+    {
+      ScopedTracer scoped;
+      fleet::run_fleet(setup.content, setup.view, setup.trace, config);
+      scoped.get().drain_to(sink);
+    }
+    std::map<std::uint32_t, std::string> sessions;
+    for (const auto& [track, name] : sink.names) {
+      if (track < kLinkTrackBase) sessions[track] = name;
+    }
+    ASSERT_EQ(sessions.size(), static_cast<std::size_t>(config.client_count));
+    for (const auto& [track, name] : sessions) {
+      EXPECT_LT(track, static_cast<std::uint32_t>(config.client_count));
+      EXPECT_EQ(name.rfind(format("c%u ", track), 0), 0u) << name;
+    }
+    for (const TraceEvent& e : sink.events) {
+      if (e.track < kLinkTrackBase) {
+        EXPECT_EQ(sessions.count(e.track), 1u);
+      }
+    }
+  }
 }
 
 }  // namespace
