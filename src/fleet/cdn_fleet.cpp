@@ -7,14 +7,6 @@
 
 namespace demuxabr::fleet {
 
-CdnState::Node::Node(std::size_t link_index, const CacheSpec& cache)
-    : link(link_index), edge(cache.capacity_bytes) {
-  if (cache.has_regional()) {
-    regional = std::make_unique<LruCache>(cache.regional_capacity_bytes);
-  }
-  stats.link = link_index;
-}
-
 CdnState::CdnState(const TopologySpec& spec, Topology& topology,
                    std::shared_ptr<const ObjectCatalog> catalog)
     : catalog_(std::move(catalog)) {
@@ -23,8 +15,8 @@ CdnState::CdnState(const TopologySpec& spec, Topology& topology,
   for (std::size_t l = 0; l < spec.links.size(); ++l) {
     if (!spec.links[l].cache.has_value()) continue;
     node_of_link[l] = nodes_.size();
-    nodes_.emplace_back(l, *spec.links[l].cache);
-    nodes_.back().stats.link_name = spec.links[l].name;
+    nodes_.push_back(
+        {l, spec.links[l].name, CdnCache(catalog_.get(), *spec.links[l].cache)});
   }
   for (std::size_t p = 0; p < topology.path_count(); ++p) {
     const std::optional<PathCacheRoute>& route = topology.cache_route(p);
@@ -36,8 +28,8 @@ CdnState::CdnState(const TopologySpec& spec, Topology& topology,
 
 std::string CdnState::key_of(const DownloadRequest& request) const {
   if (request.muxed) {
-    return chunk_object_key(request.track_id + "+" + request.audio_track_id,
-                            request.chunk_index);
+    return muxed_chunk_object_key(request.track_id, request.audio_track_id,
+                                  request.chunk_index);
   }
   return chunk_object_key(request.track_id, request.chunk_index);
 }
@@ -47,62 +39,30 @@ FlowRoute CdnState::admit(const DownloadRequest& request, Channel& origin_route,
   const auto it = routes_.find(&origin_route);
   if (it == routes_.end()) return {};  // no cache on this path
   Node& node = nodes_[it->second.first];
-  CdnStats& s = node.stats;
-  const std::string key = key_of(request);
-  const std::int64_t size = catalog_->size_of(key);
-  if (size < 0) {
-    // Not in the origin inventory (e.g. a muxed request against a demuxed
-    // catalog): uncacheable, full path, no delivery owed.
-    ++s.uncacheable;
-    return {};
-  }
-  ++s.requests;
-  if (node.edge.get(key)) {
-    ++s.edge_hits;
-    s.edge_hit_bytes += size;
-    if (telemetry_ != nullptr) telemetry_->cdn_request(node.link, now, true);
-    // Resident at the edge: the flow only spans the client→edge prefix.
-    return {it->second.second, 0};
-  }
-  if (telemetry_ != nullptr) telemetry_->cdn_request(node.link, now, false);
-  if (node.regional != nullptr && node.regional->get(key)) {
-    // Regional tier sits by the origin: saves origin egress, not hops.
-    ++s.regional_hits;
-    s.regional_hit_bytes += size;
-    return {nullptr, make_ticket(it->second.first, kFillEdge)};
-  }
-  ++s.origin_fetches;
-  s.origin_bytes += size;
-  return {nullptr, make_ticket(it->second.first,
-                               node.regional != nullptr ? kFillBoth : kFillEdge)};
+  const CdnCache::ServedBy served_by = node.cache.lookup(key_of(request));
+  // Not in the origin inventory (e.g. a muxed request against a demuxed
+  // catalog): uncacheable, full path, no delivery owed.
+  if (served_by == CdnCache::ServedBy::kUncatalogued) return {};
+  const bool edge_hit = served_by == CdnCache::ServedBy::kEdge;
+  if (telemetry_ != nullptr) telemetry_->cdn_request(node.link, now, edge_hit);
+  // Resident at the edge: the flow only spans the client→edge prefix. A
+  // regional hit sits by the origin: it saves origin egress, not hops.
+  if (edge_hit) return {it->second.second, 0};
+  return {nullptr, make_ticket(it->second.first, served_by)};
 }
 
 void CdnState::delivered(const DownloadRequest& request, std::uint64_t ticket,
                          double /*now*/) {
   if (ticket == 0) return;
-  const auto action = static_cast<Action>(ticket & 0x3u);
   Node& node = nodes_[static_cast<std::size_t>(ticket >> 2) - 1];
-  const std::string key = key_of(request);
-  const std::int64_t size = catalog_->size_of(key);
-  assert(size >= 0 && "ticketed delivery of an uncatalogued object");
-  if (action == kFillBoth) {
-    assert(node.regional != nullptr);
-    node.regional->put(key, size);
-  }
-  node.edge.put(key, size);
+  node.cache.fill(key_of(request), static_cast<CdnCache::ServedBy>(ticket & 0x3u));
 }
 
 std::vector<CdnStats> CdnState::stats() const {
   std::vector<CdnStats> out;
   out.reserve(nodes_.size());
   for (const Node& node : nodes_) {
-    CdnStats s = node.stats;
-    s.edge_evictions = node.edge.eviction_count();
-    s.regional_evictions =
-        node.regional != nullptr ? node.regional->eviction_count() : 0;
-    s.edge_used_bytes = node.edge.used_bytes();
-    s.edge_objects = node.edge.object_count();
-    out.push_back(std::move(s));
+    out.push_back(CdnStats{node.cache.stats(), node.link_name, node.link});
   }
   return out;
 }

@@ -1,9 +1,10 @@
 // CDN edge caches as first-class topology nodes (ROADMAP "per-CDN fleets").
 //
-// A TopologySpec link carrying a CacheSpec becomes a CDN node: an LRU edge
-// cache (plus an optional regional tier with CdnChain semantics) backed by
-// an ObjectCatalog built from the fleet's MediaContent in either
-// StorageMode. CdnState implements the session-facing FlowRouter hook:
+// A TopologySpec link carrying a CacheSpec becomes a CDN node: one
+// httpsim::CdnCache (an LRU edge tier plus an optional regional tier, the
+// same model the §1 request replay drives) backed by an ObjectCatalog built
+// from the fleet's MediaContent in either StorageMode. CdnState keeps only
+// routing and ticketing, through the session-facing FlowRouter hook:
 //
 //   * admit — when a flow's RTT elapses, look the chunk's object key up in
 //     the cache co-located with the flow's path. A resident object (edge
@@ -31,47 +32,20 @@
 
 #include "fleet/topology.h"
 #include "httpsim/catalog.h"
-#include "httpsim/lru_cache.h"
+#include "httpsim/cdn.h"
 #include "sim/flow_router.h"
 
 namespace demuxabr::fleet {
 
-/// Closing stats of one CDN node (cache-bearing link) of a fleet run. All
-/// counts are integers, so the fingerprint lines they feed are trivially
-/// byte-identical across engines and thread counts.
-struct CdnStats {
+/// Closing stats of one CDN node (cache-bearing link) of a fleet run: its
+/// CdnCache counters plus the link they belong to.
+struct CdnStats : CacheStats {
   std::string link_name;
   std::size_t link = 0;  ///< topology link index (global after shard merge)
-
-  std::int64_t requests = 0;        ///< cacheable requests routed past this node
-  std::int64_t edge_hits = 0;       ///< served from the edge tier (short route)
-  std::int64_t regional_hits = 0;   ///< served from the regional tier (full route)
-  std::int64_t origin_fetches = 0;  ///< cold: pulled from the origin
-  std::int64_t uncacheable = 0;     ///< keys absent from the catalog (not counted above)
-
-  std::int64_t edge_hit_bytes = 0;
-  std::int64_t regional_hit_bytes = 0;
-  std::int64_t origin_bytes = 0;  ///< origin egress this node caused
-
-  std::size_t edge_evictions = 0;
-  std::size_t regional_evictions = 0;
-  std::int64_t edge_used_bytes = 0;  ///< resident bytes at close
-  std::size_t edge_objects = 0;      ///< resident objects at close
-
-  [[nodiscard]] double hit_ratio() const {
-    return requests > 0
-               ? static_cast<double>(edge_hits) / static_cast<double>(requests)
-               : 0.0;
-  }
-  [[nodiscard]] double byte_hit_ratio() const {
-    const std::int64_t total = edge_hit_bytes + regional_hit_bytes + origin_bytes;
-    return total > 0 ? static_cast<double>(edge_hit_bytes) / static_cast<double>(total)
-                     : 0.0;
-  }
 };
 
-/// The shard-local cache plane of one fleet run: owns every CDN node's LRU
-/// tiers and routes flows per request. Wire into each session's Network as
+/// The shard-local cache plane of one fleet run: owns every CDN node's
+/// CdnCache and routes flows per request. Wire into each session's Network as
 /// its FlowRouter (FleetScheduler does this); must outlive the sessions.
 class CdnState final : public FlowRouter {
  public:
@@ -86,8 +60,7 @@ class CdnState final : public FlowRouter {
   void delivered(const DownloadRequest& request, std::uint64_t ticket,
                  double now) override;
 
-  /// Closing per-node snapshot, ascending link index (folds in eviction /
-  /// residency counters from the LRU tiers).
+  /// Closing per-node snapshot, ascending link index.
   [[nodiscard]] std::vector<CdnStats> stats() const;
 
   /// Wire the time-binned telemetry sink (obs/telemetry.h): every cacheable
@@ -96,20 +69,18 @@ class CdnState final : public FlowRouter {
   void set_telemetry(obs::TimelineShard* telemetry) { telemetry_ = telemetry; }
 
  private:
-  /// delivered() action encoded in the admit() ticket.
-  enum Action : std::uint64_t { kNone = 0, kFillEdge = 1, kFillBoth = 2 };
-
   struct Node {
     std::size_t link = 0;
-    LruCache edge;
-    std::unique_ptr<LruCache> regional;  ///< null = single-tier node
-    CdnStats stats;
-
-    Node(std::size_t link_index, const CacheSpec& cache);
+    std::string link_name;
+    CdnCache cache;
   };
 
-  [[nodiscard]] static std::uint64_t make_ticket(std::size_t node, Action action) {
-    return ((static_cast<std::uint64_t>(node) + 1) << 2) | action;
+  /// The admit() ticket: which node owes a fill, and where the object came
+  /// from (CdnCache::fill's argument) in the low two bits.
+  [[nodiscard]] static std::uint64_t make_ticket(std::size_t node,
+                                                 CdnCache::ServedBy served_by) {
+    return ((static_cast<std::uint64_t>(node) + 1) << 2) |
+           static_cast<std::uint64_t>(served_by);
   }
   [[nodiscard]] std::string key_of(const DownloadRequest& request) const;
 

@@ -89,6 +89,10 @@ std::string TopologySpec::validate() const {
   if (paths.empty()) return "topology has no paths";
   for (std::size_t l = 0; l < links.size(); ++l) {
     if (links[l].name.empty()) return format("link %zu is unnamed", l);
+    if (links[l].cache.has_value() && links[l].cache->capacity_bytes < 0) {
+      return format("link %s has negative cache capacity %lld", links[l].name.c_str(),
+                    static_cast<long long>(links[l].cache->capacity_bytes));
+    }
   }
   for (std::size_t p = 0; p < paths.size(); ++p) {
     const PathSpec& path = paths[p];

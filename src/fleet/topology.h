@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "httpsim/cdn.h"
 #include "net/bandwidth_trace.h"
 #include "net/channel.h"
 #include "obs/trace.h"
@@ -81,20 +82,13 @@ struct LinkStats {
   }
 };
 
-/// A CDN cache co-located with a topology link (fleet/cdn_fleet.h). A
+/// A CDN cache co-located with a topology link (fleet/cdn_fleet.h), with
+/// the capacities of httpsim::CdnCache's edge and regional tiers. A
 /// request whose object is resident in the edge tier rides only the hop
-/// prefix of its path up to this link; misses ride the full path to the
-/// origin and fill the cache at flow completion.
-struct CacheSpec {
-  /// Edge LRU capacity in bytes; 0 = unbounded.
-  std::int64_t capacity_bytes = 0;
-  /// Optional second tier with CdnChain semantics (a regional cache close
-  /// to the origin: hits save origin egress but still ride the full path).
-  /// Negative = no regional tier; 0 = unbounded regional.
-  std::int64_t regional_capacity_bytes = -1;
-
-  [[nodiscard]] bool has_regional() const { return regional_capacity_bytes >= 0; }
-};
+/// prefix of its path up to this link; misses and regional hits (the
+/// regional tier sits by the origin) ride the full path and fill the cache
+/// at flow completion.
+using demuxabr::CacheSpec;
 
 /// One named bottleneck of the topology.
 struct LinkSpec {
@@ -107,7 +101,7 @@ struct LinkSpec {
   /// CDN cache at this link. At most one hop of any path may carry a cache
   /// (validate() enforces it). Copied wholesale by the shard runner, so a
   /// cache and every path through it stay inside one connected component.
-  std::optional<CacheSpec> cache;
+  std::optional<CacheSpec> cache = std::nullopt;
 };
 
 /// One route through the topology: an ordered list of link indices

@@ -1,12 +1,24 @@
 #include "httpsim/catalog.h"
 
+#include <cstdio>
+
 #include "media/combination.h"
-#include "util/strings.h"
 
 namespace demuxabr {
 
-std::string chunk_object_key(const std::string& track_or_combo, int chunk_index) {
-  return format("%s/%05d", track_or_combo.c_str(), chunk_index);
+std::string chunk_object_key(const std::string& track_id, int chunk_index) {
+  // One small snprintf for the suffix: short keys stay in the string's
+  // inline buffer, and keys are built on every fleet cache admit and fill.
+  char suffix[16];
+  const int length = std::snprintf(suffix, sizeof(suffix), "/%05d", chunk_index);
+  std::string key = track_id;
+  key.append(suffix, static_cast<std::size_t>(length));
+  return key;
+}
+
+std::string muxed_chunk_object_key(const std::string& video_id,
+                                   const std::string& audio_id, int chunk_index) {
+  return chunk_object_key(video_id + "+" + audio_id, chunk_index);
 }
 
 void ObjectCatalog::add(const std::string& key, std::int64_t bytes) {
@@ -39,11 +51,10 @@ ObjectCatalog build_muxed_catalog(const Content& content) {
   ObjectCatalog catalog;
   for (const TrackInfo& video : content.ladder().video()) {
     for (const TrackInfo& audio : content.ladder().audio()) {
-      const std::string combo = video.id + "+" + audio.id;
       const auto& video_chunks = content.chunks(video.id);
       const auto& audio_chunks = content.chunks(audio.id);
       for (std::size_t i = 0; i < video_chunks.size(); ++i) {
-        catalog.add(chunk_object_key(combo, video_chunks[i].index),
+        catalog.add(muxed_chunk_object_key(video.id, audio.id, video_chunks[i].index),
                     video_chunks[i].size_bytes + audio_chunks[i].size_bytes);
       }
     }

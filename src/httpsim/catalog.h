@@ -19,8 +19,13 @@ inline const char* storage_mode_name(StorageMode mode) {
   return mode == StorageMode::kDemuxed ? "demuxed" : "muxed";
 }
 
-/// Key of one chunk object: "V3/00042" (demuxed) or "V3+A1/00042" (muxed).
-std::string chunk_object_key(const std::string& track_or_combo, int chunk_index);
+/// Key of one demuxed chunk object: "V3/00042".
+std::string chunk_object_key(const std::string& track_id, int chunk_index);
+
+/// Key of one muxed chunk object, the video chunk plus the audio chunk:
+/// "V3+A1/00042".
+std::string muxed_chunk_object_key(const std::string& video_id,
+                                   const std::string& audio_id, int chunk_index);
 
 /// The origin server's object inventory.
 class ObjectCatalog {

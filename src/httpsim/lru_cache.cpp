@@ -40,13 +40,6 @@ bool LruCache::contains(const std::string& key) const {
   return entries_.find(key) != entries_.end();
 }
 
-void LruCache::clear() {
-  lru_.clear();
-  entries_.clear();
-  used_bytes_ = 0;
-  evictions_ = 0;
-}
-
 void LruCache::evict_until_fits(std::int64_t incoming_bytes) {
   if (capacity_bytes_ == 0) return;  // unbounded
   while (!lru_.empty() && used_bytes_ + incoming_bytes > capacity_bytes_) {

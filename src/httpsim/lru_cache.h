@@ -23,11 +23,8 @@ class LruCache {
 
   [[nodiscard]] bool contains(const std::string& key) const;
   [[nodiscard]] std::int64_t used_bytes() const { return used_bytes_; }
-  [[nodiscard]] std::int64_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] std::size_t object_count() const { return entries_.size(); }
   [[nodiscard]] std::size_t eviction_count() const { return evictions_; }
-
-  void clear();
 
  private:
   struct Entry {

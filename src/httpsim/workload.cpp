@@ -39,27 +39,34 @@ WorkloadResult run_cdn_workload(const Content& content, StorageMode mode,
   const ObjectCatalog catalog = mode == StorageMode::kDemuxed
                                     ? build_demuxed_catalog(content)
                                     : build_muxed_catalog(content);
-  std::int64_t capacity = 0;
+  // Capacities are fractions of the demuxed catalog in both storage modes.
+  const double demuxed_bytes = static_cast<double>(
+      mode == StorageMode::kDemuxed ? catalog.total_bytes()
+                                    : build_demuxed_catalog(content).total_bytes());
+  CacheSpec spec;
   if (config.cache_fraction > 0.0) {
-    capacity = static_cast<std::int64_t>(
-        static_cast<double>(build_demuxed_catalog(content).total_bytes()) *
-        config.cache_fraction);
+    spec.capacity_bytes =
+        static_cast<std::int64_t>(demuxed_bytes * config.cache_fraction);
   }
-  CdnNode cdn(&catalog, capacity);
+  if (config.regional_fraction >= 0.0) {
+    spec.regional_capacity_bytes =
+        static_cast<std::int64_t>(demuxed_bytes * config.regional_fraction);
+  }
+  CdnCache cdn(&catalog, spec);
+  const auto fetch = [&cdn](const std::string& key) {
+    const CdnCache::ServedBy served_by = cdn.lookup(key);
+    assert(served_by != CdnCache::ServedBy::kUncatalogued);
+    cdn.fill(key, served_by);
+  };
 
   const std::vector<UserChoice> users = draw_users(content, config);
   for (const UserChoice& user : users) {
     for (int chunk = 0; chunk < content.num_chunks(); ++chunk) {
       if (mode == StorageMode::kMuxed) {
-        [[maybe_unused]] const auto result =
-            cdn.fetch(chunk_object_key(user.video_id + "+" + user.audio_id, chunk));
-        assert(result.found);
+        fetch(muxed_chunk_object_key(user.video_id, user.audio_id, chunk));
       } else {
-        [[maybe_unused]] const auto video_result =
-            cdn.fetch(chunk_object_key(user.video_id, chunk));
-        [[maybe_unused]] const auto audio_result =
-            cdn.fetch(chunk_object_key(user.audio_id, chunk));
-        assert(video_result.found && audio_result.found);
+        fetch(chunk_object_key(user.video_id, chunk));
+        fetch(chunk_object_key(user.audio_id, chunk));
       }
     }
   }

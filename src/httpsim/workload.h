@@ -23,16 +23,20 @@ struct WorkloadConfig {
   std::uint64_t seed = 7;
   /// Cache capacity as a fraction of the demuxed catalog size (0 = unbounded).
   double cache_fraction = 0.0;
+  /// Regional tier capacity as a fraction of the demuxed catalog size
+  /// (negative = no regional tier, 0 = unbounded).
+  double regional_fraction = -1.0;
 };
 
 struct WorkloadResult {
   StorageMode mode = StorageMode::kDemuxed;
-  CdnStats cdn;
+  CacheStats cdn;
   std::int64_t origin_storage_bytes = 0;
   std::size_t origin_object_count = 0;
 };
 
-/// Run the viewer population against one CDN node in the given storage mode.
+/// Run the viewer population against one CDN cache in the given storage
+/// mode. Each request is looked up and, on a miss, filled at once.
 WorkloadResult run_cdn_workload(const Content& content, StorageMode mode,
                                 const WorkloadConfig& config);
 

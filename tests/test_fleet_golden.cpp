@@ -1,10 +1,12 @@
 // Golden fleet fingerprints: 64-bit FNV-1a digests of fleet_fingerprint()
 // for one small fleet of each kind the engine runs — a plain single-link
 // fleet (full logs, streaming metrics, telemetry on), a split-audio fleet, a
-// two-component topology run serially and a cached CDN fleet. The digests
+// two-component topology run serially and two cached CDN fleets. The digests
 // were captured before every fleet became a Topology run through one
 // partitioning run_fleet (DESIGN.md §7, §10), so they pin that the
-// refactor changed no outcome, link book, CDN counter or telemetry bin.
+// refactor changed no outcome, link book, CDN counter or telemetry bin. The
+// regional-tier digest was captured before the fleet's edge caches and the
+// §1 request replay were folded into one httpsim::CdnCache (DESIGN.md §11).
 // A failure here means fleet behaviour moved; update a digest only for an
 // intended behaviour change, and say why in the commit.
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <string>
 
 #include "experiments/scenarios.h"
+#include "fleet/cdn_fleet.h"
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/scheduler.h"
@@ -125,6 +128,32 @@ TEST_F(GoldenFleet, CachedCdn) {
   FleetConfig config = golden_config(8);
   config.topology = std::move(spec);
   EXPECT_EQ(digest(run(config)), "b770ba0aa941efcf");
+}
+
+TEST_F(GoldenFleet, CachedCdnRegionalTier) {
+  // Bounded edge and regional tiers: the only golden fleet that pins
+  // regional hits and eviction churn in both tiers.
+  const std::int64_t catalog_bytes =
+      make_fleet_catalog(setup_.content, StorageMode::kDemuxed)->total_bytes();
+  TopologySpec spec;
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t access = spec.add_link(
+        format("access-%d", i), BandwidthTrace::constant(3000.0 + 300.0 * i));
+    const std::size_t core =
+        spec.add_link(format("core-%d", i), BandwidthTrace::constant(2000.0));
+    spec.add_path(format("chain-%d", i), {access, core});
+    spec.links[access].cache = CacheSpec{catalog_bytes / 320, catalog_bytes / 8};
+  }
+  FleetConfig config = golden_config(8);
+  config.topology = std::move(spec);
+  const FleetResult result = run(config);
+  ASSERT_EQ(result.cdns.size(), 2u);
+  for (const CdnStats& cdn : result.cdns) {
+    EXPECT_GT(cdn.regional_hits, 0) << cdn.link_name;
+    EXPECT_GT(cdn.edge_evictions, 0u) << cdn.link_name;
+    EXPECT_GT(cdn.regional_evictions, 0u) << cdn.link_name;
+  }
+  EXPECT_EQ(digest(result), "20e53a0412304623");
 }
 
 }  // namespace

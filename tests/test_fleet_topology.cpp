@@ -537,6 +537,11 @@ TEST(TopologySpecValidate, RejectsMalformedSpecs) {
   bad_assignment.video_assignment = {4};
   EXPECT_NE(bad_assignment.validate(), "");
 
+  TopologySpec negative_cache =
+      TopologySpec::single(BandwidthTrace::constant(1.0), "edge");
+  negative_cache.links[0].cache = CacheSpec{-100, -1};
+  EXPECT_EQ(negative_cache.validate(), "link edge has negative cache capacity -100");
+
   EXPECT_EQ(TopologySpec::single(BandwidthTrace::constant(1.0)).validate(), "");
   EXPECT_EQ(TopologySpec::sharded(3, BandwidthTrace::constant(1.0),
                                   BandwidthTrace::constant(1.0),

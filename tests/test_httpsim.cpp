@@ -60,14 +60,6 @@ TEST(LruCache, DuplicatePutTouchesWithoutDoubleCount) {
   EXPECT_EQ(cache.object_count(), 1u);
 }
 
-TEST(LruCache, ClearResets) {
-  LruCache cache(100);
-  cache.put("a", 10);
-  cache.clear();
-  EXPECT_EQ(cache.used_bytes(), 0);
-  EXPECT_FALSE(cache.contains("a"));
-}
-
 TEST(LruCache, ResizingPutUpdatesUsedBytes) {
   LruCache cache(100);
   cache.put("a", 10);
@@ -191,7 +183,7 @@ TEST_F(CatalogTest, MuxedObjectIsSumOfComponents) {
   const ObjectCatalog muxed = build_muxed_catalog(content_);
   const std::int64_t expected =
       content_.chunk("V2", 5).size_bytes + content_.chunk("A3", 5).size_bytes;
-  EXPECT_EQ(muxed.size_of(chunk_object_key("V2+A3", 5)), expected);
+  EXPECT_EQ(muxed.size_of(muxed_chunk_object_key("V2", "A3", 5)), expected);
 }
 
 TEST_F(CatalogTest, StorageComparisonFavorsDemuxed) {
@@ -211,24 +203,28 @@ TEST_F(CatalogTest, UnknownKeyReportsNegative) {
 
 TEST_F(CatalogTest, CdnServesHitsFromCacheAfterFirstFetch) {
   const ObjectCatalog catalog = build_demuxed_catalog(content_);
-  CdnNode cdn(&catalog, 0);
+  CdnCache cdn(&catalog, CacheSpec{});
   const std::string key = chunk_object_key("V1", 0);
-  const auto first = cdn.fetch(key);
-  EXPECT_TRUE(first.found);
-  EXPECT_FALSE(first.from_cache);
-  const auto second = cdn.fetch(key);
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(cdn.stats().hits, 1);
-  EXPECT_EQ(cdn.stats().misses, 1);
-  EXPECT_EQ(cdn.stats().bytes_from_origin, first.bytes);
+  const CdnCache::ServedBy first = cdn.lookup(key);
+  EXPECT_EQ(first, CdnCache::ServedBy::kOrigin);
+  cdn.fill(key, first);
+  EXPECT_EQ(cdn.lookup(key), CdnCache::ServedBy::kEdge);
+  const CacheStats stats = cdn.stats();
+  EXPECT_EQ(stats.edge_hits, 1);
+  EXPECT_EQ(stats.origin_fetches, 1);
+  EXPECT_EQ(stats.origin_bytes, catalog.size_of(key));
+  EXPECT_EQ(stats.edge_hit_bytes, catalog.size_of(key));
+  EXPECT_DOUBLE_EQ(stats.byte_hit_ratio(), 0.5);
 }
 
 TEST_F(CatalogTest, CdnUnknownObject) {
   const ObjectCatalog catalog = build_demuxed_catalog(content_);
-  CdnNode cdn(&catalog, 0);
-  const auto result = cdn.fetch("missing/object");
-  EXPECT_FALSE(result.found);
+  CdnCache cdn(&catalog, CacheSpec{});
+  EXPECT_EQ(cdn.lookup("missing/object"), CdnCache::ServedBy::kUncatalogued);
+  cdn.fill("missing/object", CdnCache::ServedBy::kUncatalogued);  // a no-op
   EXPECT_EQ(cdn.stats().requests, 0);
+  EXPECT_EQ(cdn.stats().uncacheable, 1);
+  EXPECT_EQ(cdn.stats().edge_objects, 0u);
 }
 
 // The paper's CDN argument (§1): with users differing only in the *other*
@@ -250,7 +246,7 @@ TEST_F(CatalogTest, DemuxedModeReducesOriginEgressWithBoundedCache) {
   config.num_users = 150;
   config.cache_fraction = 0.5;
   const auto results = run_cdn_comparison(content_, config);
-  EXPECT_LT(results[0].cdn.bytes_from_origin, results[1].cdn.bytes_from_origin);
+  EXPECT_LT(results[0].cdn.origin_bytes, results[1].cdn.origin_bytes);
 }
 
 TEST_F(CatalogTest, WorkloadDeterministicPerSeed) {
@@ -258,19 +254,19 @@ TEST_F(CatalogTest, WorkloadDeterministicPerSeed) {
   config.num_users = 50;
   const auto a = run_cdn_workload(content_, StorageMode::kDemuxed, config);
   const auto b = run_cdn_workload(content_, StorageMode::kDemuxed, config);
-  EXPECT_EQ(a.cdn.hits, b.cdn.hits);
-  EXPECT_EQ(a.cdn.bytes_from_origin, b.cdn.bytes_from_origin);
+  EXPECT_EQ(a.cdn.edge_hits, b.cdn.edge_hits);
+  EXPECT_EQ(a.cdn.origin_bytes, b.cdn.origin_bytes);
 }
 
-TEST(CdnStats, RatiosHandleZeroRequests) {
-  CdnStats stats;
+TEST(CacheStats, RatiosHandleZeroRequests) {
+  CacheStats stats;
   EXPECT_DOUBLE_EQ(stats.hit_ratio(), 0.0);
   EXPECT_DOUBLE_EQ(stats.byte_hit_ratio(), 0.0);
 }
 
 TEST(ChunkObjectKey, Format) {
   EXPECT_EQ(chunk_object_key("V3", 42), "V3/00042");
-  EXPECT_EQ(chunk_object_key("V3+A1", 0), "V3+A1/00000");
+  EXPECT_EQ(muxed_chunk_object_key("V3", "A1", 0), "V3+A1/00000");
 }
 
 }  // namespace
