@@ -20,9 +20,9 @@
 // exits non-zero when a --min-steps-per-s floor is not met, peak RSS
 // exceeds --max-rss-mib, or (under --cdn) the demuxed edge hit ratio falls
 // below --min-cdn-hit. --profile turns on the engine self-profiler and
-// the metrics registry and prints both; --trace-out captures the run with a
-// Tracer and writes Chrome trace-event JSON (open in chrome://tracing or
-// Perfetto) to PATH. --disjoint swaps the shared-core layout for causally
+// prints its phase table; --trace-out captures the run with a Tracer and
+// writes Chrome trace-event JSON (open in chrome://tracing or Perfetto) to
+// PATH. --disjoint swaps the shared-core layout for causally
 // independent per-edge chains, which partition into parallel shards
 // (fleet/shard.h) driven by --threads; --streaming drops per-session logs
 // for O(shards + sketch) memory (fleet/metrics.h StreamingFleetStats).
@@ -62,7 +62,6 @@
 #include "fleet/scheduler.h"
 #include "fleet/topology.h"
 #include "obs/incidents.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "players/dashjs.h"
@@ -726,7 +725,7 @@ struct CliOptions {
   double max_rss_mib = 0.0;           ///< 0 = no RSS ceiling check
   int threads = 1;                    ///< shard workers (0 = hardware)
   bool streaming = false;             ///< streaming-metrics mode (no logs)
-  bool profile = false;               ///< engine self-profile + metrics dump
+  bool profile = false;               ///< engine self-profile table
   bool topology = false;              ///< sharded 10-edge multi-link fleet
   bool disjoint = false;              ///< disjoint per-edge chains (parallel)
   bool cdn = false;                   ///< cache-aware chains, demuxed vs muxed
@@ -843,8 +842,6 @@ int run_cli(const CliOptions& cli) {
   if (!cli.trace_out.empty()) {
     scoped_tracer = std::make_unique<obs::ScopedTracer>(obs::kCatAll);
   }
-  std::unique_ptr<obs::ScopedMetrics> scoped_metrics;
-  if (cli.profile) scoped_metrics = std::make_unique<obs::ScopedMetrics>();
 
   // --topology / --disjoint / --cdn distribute the requested fleet over 10
   // equal shards (block assignment), rounding --clients down to a multiple
@@ -998,10 +995,6 @@ int run_cli(const CliOptions& cli) {
                   scoped_tracer->get().event_count(), cli.trace_out.c_str());
       scoped_tracer.reset();  // only the first engine's run is captured
     }
-  }
-  if (cli.profile) {
-    std::printf("--- metrics registry ---\n%s",
-                obs::MetricsRegistry::global().to_text().c_str());
   }
   return floor_met ? 0 : 1;
 }

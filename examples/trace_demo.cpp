@@ -1,12 +1,11 @@
 // trace_demo: capture a contention fleet with the observability layer on.
-// Runs ~10 mixed-player clients on one shared bottleneck with the Tracer,
-// the metrics registry, and the engine self-profiler all enabled, then
-// writes the capture twice:
+// Runs ~10 mixed-player clients on one shared bottleneck with the Tracer and
+// the engine self-profiler enabled, then writes the capture twice:
 //   trace_demo.json   — Chrome trace-event JSON (open in chrome://tracing
 //                       or https://ui.perfetto.dev; one "process" per
 //                       session and per link, one "thread" per lane)
 //   trace_demo.ndjson — one JSON object per line, greppable
-// and prints the metrics snapshot plus the engine phase profile.
+// and prints the engine phase profile.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -15,7 +14,6 @@
 #include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
 #include "fleet/scheduler.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
@@ -50,9 +48,8 @@ int main() {
   obs::Tracer tracer(obs::kCatAll);
   {
     // Scoped: instrumentation macros only pay for rendering while a tracer
-    // is installed and metrics are enabled.
+    // is installed.
     obs::install_tracer(&tracer);
-    obs::ScopedMetrics metrics_on;
     result = fleet::run_fleet(setup.content, setup.view, setup.trace, config);
     obs::install_tracer(nullptr);
   }
@@ -77,9 +74,6 @@ int main() {
 
   std::printf("\n=== engine self-profile (event-heap) ===\n%s",
               result.profile.to_table().c_str());
-
-  std::printf("\n=== metrics registry snapshot ===\n%s",
-              obs::MetricsRegistry::global().to_text().c_str());
 
   std::printf(
       "\nreading the timeline: each \"c<N> <player>\" process is one session\n"

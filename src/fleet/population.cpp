@@ -2,12 +2,18 @@
 
 #include <cassert>
 
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace demuxabr::fleet {
 
 std::vector<ClientPlan> plan_population(const FleetConfig& config) {
-  assert(!config.players.empty() && "FleetConfig::players must be non-empty");
+  if (config.players.empty()) {
+    assert(false && "FleetConfig::players must be non-empty");
+    DMX_ERROR << "FleetConfig::players is empty — no player to assign; "
+                 "planning no clients";
+    return {};
+  }
   Rng rng(config.seed);
 
   std::vector<double> weights;

@@ -149,7 +149,8 @@ struct ClientPlan {
 };
 
 /// Expand a FleetConfig into its population, sorted by arrival time (ties
-/// keep id order). Deterministic in config.seed.
+/// keep id order). Deterministic in config.seed. An empty config.players
+/// asserts in Debug; in Release it logs an error and plans no clients.
 std::vector<ClientPlan> plan_population(const FleetConfig& config);
 
 }  // namespace demuxabr::fleet

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "fleet/event_heap.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/indexed_min_heap.h"
@@ -98,7 +97,6 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
     tr->name_track(session_config.trace_track,
                    format("c%d %s", global_id, plan.player_label.c_str()));
   }
-  DMX_COUNT("fleet.admitted", 1);
 
   client->session = std::make_unique<StreamingSession>(
       content_, view_, std::move(network), *client->player, session_config);
@@ -132,7 +130,6 @@ void FleetScheduler::finalize_client(Client& client, double now) {
   } else {
     result_.clients.push_back(std::move(outcome));
   }
-  DMX_COUNT("fleet.retired", 1);
   // Release the session and player: long fleets churn through thousands of
   // clients and only a fraction are ever concurrently active.
   client.session.reset();
@@ -140,7 +137,6 @@ void FleetScheduler::finalize_client(Client& client, double now) {
 }
 
 FleetResult FleetScheduler::run() {
-  assert(!config_.players.empty() && "FleetConfig::players must be non-empty");
   return run_plans(plan_population(config_));
 }
 
@@ -174,7 +170,6 @@ FleetResult FleetScheduler::run_engine(const std::vector<ClientPlan>& plans,
   }
 
   const double end_time = barrier ? run_barrier(plans) : run_event_heap(plans);
-  DMX_COUNT("fleet.steps", result_.steps);
 
   // Clients finalize in retirement order; re-sort to client-id order so the
   // result layout is stable regardless of who finished first.

@@ -179,7 +179,6 @@ ShardPartition partition_fleet(const TopologySpec& spec,
 
 FleetResult run_fleet(const Content& content, const ManifestView& view,
                       const BandwidthTrace& bottleneck, const FleetConfig& config) {
-  assert(!config.players.empty() && "FleetConfig::players must be non-empty");
   const std::vector<ClientPlan> plans = plan_population(config);
   const ShardPartition partition =
       config.topology.has_value()

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -42,7 +41,6 @@ double Link::add_flow(double now) {
   ++active_flows_;
   peak_flows_ = std::max(peak_flows_, active_flows_);
   ++epoch_;
-  DMX_COUNT("link.flows_added", 1);
   DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
   return service_kbit_;
@@ -51,7 +49,6 @@ double Link::add_flow(double now) {
 void Link::remove_flow(double now) {
   advance_to(now);
   if (active_flows_ <= 0) {
-    DMX_COUNT("link.double_removes", 1);
     assert(false && "Link::remove_flow on an idle link (double remove)");
     DMX_ERROR << "Link::remove_flow on an idle link (double remove?) — "
                  "flow accounting is corrupt; clamping at zero";
@@ -59,7 +56,6 @@ void Link::remove_flow(double now) {
   }
   --active_flows_;
   ++epoch_;
-  DMX_COUNT("link.flows_removed", 1);
   DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
 }

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/flow_router.h"
 #include "util/logging.h"
@@ -181,7 +179,6 @@ void StreamingSession::abort_flow(Flow& f) {
   banked_bytes_ += f.bytes_done;
   f.bytes_done = 0.0;
   f.active = false;
-  DMX_COUNT("session.downloads_abandoned", 1);
   DMX_TRACE_SPAN_END(obs::kCatDownload, config_.trace_track,
                      lane_of(record.type), "download", now_,
                      obs::TraceArgs().kv("bytes", record.bytes).kv("aborted", 1));
@@ -279,8 +276,6 @@ void StreamingSession::complete_flow(Flow& f) {
   }
 
   const bool was_muxed = f.request.muxed;
-  DMX_HIST("session.download_s", now_ - f.request_t);
-  DMX_COUNT("session.chunks_completed", component_count);
   DMX_TRACE_SPAN_END(obs::kCatDownload, config_.trace_track,
                      lane_of(f.request.type), "download", now_,
                      obs::TraceArgs()
@@ -336,7 +331,6 @@ void StreamingSession::perform_seek(const SeekEvent& seek) {
   if (started_ && playing_) {
     playing_ = false;
     stall_start_t_ = now_;
-    DMX_COUNT("session.stalls", 1);
     DMX_TRACE_SPAN_BEGIN(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
                          "stall", now_, obs::TraceArgs().kv("cause", "seek"));
   }
@@ -356,18 +350,7 @@ void StreamingSession::poll_player() {
     if (active_flow_count() >= player_.max_concurrent_downloads()) return;
     if (all_chunks_downloaded()) return;
     const PlayerContext ctx = make_context();
-    std::optional<DownloadRequest> request;
-    if (obs::metrics_enabled()) {
-      // Wall-clock decision latency — pure observation; the simulated clock
-      // never sees it.
-      const auto d0 = std::chrono::steady_clock::now();
-      request = player_.next_request(ctx);
-      DMX_HIST("session.decision_latency_s",
-               std::chrono::duration<double>(std::chrono::steady_clock::now() - d0)
-                   .count());
-    } else {
-      request = player_.next_request(ctx);
-    }
+    const std::optional<DownloadRequest> request = player_.next_request(ctx);
     if (!request.has_value()) return;
     assert(!flow(request->type).active && "player requested a busy media type");
     DMX_TRACE_INSTANT(obs::kCatAbr, config_.trace_track, obs::kLaneAbr,
@@ -396,8 +379,6 @@ void StreamingSession::handle_playback_transitions() {
       playing_ = true;
       re_anchor();
       log_.startup_delay_s = now_ - config_.start_time_s;
-      DMX_COUNT("session.startups", 1);
-      DMX_HIST("session.startup_delay_s", log_.startup_delay_s);
       DMX_TRACE_INSTANT(obs::kCatBuffer, config_.trace_track, obs::kLanePlayback,
                         "playback_start", now_,
                         obs::TraceArgs().kv("delay_s", log_.startup_delay_s));
@@ -413,7 +394,6 @@ void StreamingSession::handle_playback_transitions() {
       playing_ = false;
       stall_start_t_ = now_;
       re_anchor();
-      DMX_COUNT("session.stalls", 1);
       DMX_TRACE_SPAN_BEGIN(
           obs::kCatStall, config_.trace_track, obs::kLanePlayback, "stall", now_,
           obs::TraceArgs().kv("cause", audio_underrun ? "audio" : "video"));
@@ -432,7 +412,6 @@ void StreamingSession::handle_playback_transitions() {
     log_.totals.stall_s += now_ - stall_start_t_;
     ++log_.totals.stall_events;
     if (!config_.minimal_log) log_.stalls.push_back({stall_start_t_, now_});
-    DMX_HIST("session.stall_s", now_ - stall_start_t_);
     DMX_TRACE_SPAN_END(obs::kCatStall, config_.trace_track, obs::kLanePlayback,
                        "stall", now_,
                        obs::TraceArgs().kv("dur_s", now_ - stall_start_t_));

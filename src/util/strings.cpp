@@ -144,7 +144,10 @@ std::vector<std::pair<std::string, std::string>> parse_attribute_list(std::strin
 }
 
 std::string quote_attribute(std::string_view value) {
-  return "\"" + std::string(value) + "\"";
+  std::string out = "\"";
+  out += value;
+  out += '"';
+  return out;
 }
 
 }  // namespace demuxabr

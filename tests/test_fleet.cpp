@@ -18,6 +18,7 @@
 #include "fleet/topology.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
+#include "util/logging.h"
 
 namespace demuxabr::fleet {
 namespace {
@@ -403,6 +404,29 @@ TEST(Population, SimultaneousArrivalsAllZero) {
     EXPECT_EQ(plan.arrival_s, 0.0);
     EXPECT_TRUE(std::isinf(plan.leave_at_s));
   }
+}
+
+TEST(Population, EmptyPlayerListIsDetected) {
+  FleetConfig config;
+  config.client_count = 5;
+#ifdef NDEBUG
+  // Release: with no player to assign, plan nobody and log an error rather
+  // than read past the end of the empty player list.
+  CaptureLogSink capture;
+  ScopedLogSink sink_guard(&capture);
+  EXPECT_TRUE(plan_population(config).empty());
+  EXPECT_TRUE(capture.contains("players is empty"));
+  // A whole fleet run on the same config finishes with no clients.
+  const ex::ExperimentSetup setup =
+      ex::plain_dash(BandwidthTrace::constant(1000.0), "no-players");
+  const FleetResult result =
+      run_fleet(setup.content, setup.view, setup.trace, config);
+  EXPECT_TRUE(result.clients.empty());
+  EXPECT_EQ(result.steps, 0u);
+#else
+  // Debug: an empty player list is a configuration bug and asserts.
+  EXPECT_DEATH(plan_population(config), "players must be non-empty");
+#endif
 }
 
 TEST(Fleet, MixedPlayerPopulationRuns) {

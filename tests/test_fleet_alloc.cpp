@@ -13,9 +13,9 @@
 // steady-state drain loop allocates nothing, the two global allocation
 // counts are EQUAL — any per-event malloc shows up as a count difference
 // proportional to the extra events. A warmup run at the LONG cap first
-// touches lazy global state (metrics-registry histogram buckets, locale,
-// gtest internals): the runs are deterministic, so the short run's event
-// stream is a prefix of the warmup's and can surface no new global bucket.
+// touches lazy global state (locale, gtest internals): the runs are
+// deterministic, so the short run's event stream is a prefix of the warmup's
+// and can surface no new global state.
 //
 // minimal_log (rather than streaming-metrics) mode on purpose: the
 // streaming sketches bucket by VALUE, so a 240s watch can touch quantile

@@ -30,6 +30,7 @@
 #include "net/link.h"
 #include "players/dashjs.h"
 #include "players/exoplayer.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -436,6 +437,40 @@ TEST(TopologyRegression, NeverUsedTopologyLinkFinalizesClean) {
   EXPECT_FALSE(std::isnan(stats[1].utilization()));
   EXPECT_EQ(stats[1].peak_flows, 0);
   EXPECT_EQ(stats[1].residual_flows, 0);
+}
+
+TEST(TopologyRegression, DoubleRemoveOnIdlePathIsDetected) {
+  TopologySpec spec;
+  const std::size_t core = spec.add_link("core", BandwidthTrace::constant(3000.0));
+  const std::size_t edge = spec.add_link("edge", BandwidthTrace::constant(1000.0));
+  spec.add_path("a", {edge, core});
+  Topology topo(std::move(spec));
+  const std::shared_ptr<Channel> path = topo.path_channel(0);
+  path->add_flow(0.0);
+  path->remove_flow(1.0);
+#ifdef NDEBUG
+  // Release: clamp at zero and log an error rather than corrupting the
+  // min-share counts of the path and of every link it traverses.
+  CaptureLogSink capture;
+  ScopedLogSink sink_guard(&capture);
+  path->remove_flow(2.0);
+  EXPECT_EQ(path->active_flows(), 0);
+  EXPECT_TRUE(capture.contains("double remove"));
+  // The path still serves correctly after the clamp: one flow gets the
+  // binding edge's full 1000 kbps.
+  const double v0 = path->add_flow(3.0);
+  EXPECT_DOUBLE_EQ(path->service_at(4.0) - v0, 1000.0);
+  EXPECT_EQ(path->active_flows(), 1);
+  path->remove_flow(5.0);
+  topo.finalize(6.0);
+  for (const LinkStats& link : topo.link_stats()) {
+    EXPECT_EQ(link.residual_flows, 0) << link.name;
+    EXPECT_EQ(link.peak_flows, 1) << link.name;
+  }
+#else
+  // Debug: a double remove is a caller bug and asserts.
+  EXPECT_DEATH(path->remove_flow(2.0), "remove_flow");
+#endif
 }
 
 TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {

@@ -40,7 +40,11 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 
 TEST(LruCache, UnboundedNeverEvicts) {
   LruCache cache(0);
-  for (int i = 0; i < 1000; ++i) cache.put("k" + std::to_string(i), 1000);
+  for (int i = 0; i < 1000; ++i) {
+    std::string key = "k";
+    key += std::to_string(i);
+    cache.put(key, 1000);
+  }
   EXPECT_EQ(cache.object_count(), 1000u);
   EXPECT_EQ(cache.eviction_count(), 0u);
 }
