@@ -1,4 +1,5 @@
-// SweepRunner: fan independent experiment sessions out across a ThreadPool.
+// SweepRunner: fan independent experiment sessions out across a ThreadPool
+// (util/parallel.h fan_out_ordered).
 //
 // A sweep is a list of jobs, each pairing an (immutable, shareable)
 // ExperimentSetup with a factory that builds a fresh PlayerAdapter per run.

@@ -1,25 +1,15 @@
 #include "fleet/event_heap.h"
 
-#include <limits>
-
 namespace demuxabr::fleet {
-namespace {
-constexpr std::uint64_t kNeverSynced = std::numeric_limits<std::uint64_t>::max();
-}  // namespace
 
 EventHeap::EventHeap(std::uint32_t session_count, std::uint32_t link_count,
                      MonotonicArena* arena)
-    : heap_(ArenaAllocator<HeapEntry>(arena)),
-      link_base_(session_count),
-      link_epochs_(link_count, kNeverSynced, ArenaAllocator<std::uint64_t>(arena)) {
+    : heap_(ArenaAllocator<HeapEntry>(arena)), link_base_(session_count) {
   heap_.reserve(session_count + link_count);
 }
 
-void EventHeap::sync_link(std::uint32_t link_index, const Channel& link, bool force) {
-  ++stats_.sync_checks;
-  if (!force && link_epochs_[link_index] == link.epoch()) return;
-  ++stats_.sync_refreshes;
-  link_epochs_[link_index] = link.epoch();
+void EventHeap::sync_link(std::uint32_t link_index, const Channel& link) {
+  ++stats_.link_syncs;
   const std::uint32_t id = link_base_ + link_index;
   const double t = link.earliest_completion_time();
   if (std::isfinite(t)) {

@@ -6,13 +6,13 @@
 //   * shared links — one entity per topology *channel*, each with a
 //     completion registry (spec paths plus the derived cache-hit prefix
 //     channels of cache-aware fleets, Topology::channel_count). Keyed on
-//     the carrier's earliest registered flow completion, refreshed
-//     *lazily*: the key is recomputed only when the link's flow-count epoch
-//     moved since the last sync. A completion target is a virtual-service
-//     integral value, invariant under population and capacity changes, so
-//     one O(log F) registry lookup per link replaces re-keying every riding
-//     session when a flow joins or leaves — the difference between O(log N)
-//     and O(N) per event.
+//     the carrier's earliest registered flow completion. The engine re-keys
+//     exactly the channels the topology marks dirty (a population change
+//     marks its affected set, Topology::dirty_channels). A completion
+//     target is a virtual-service integral value, invariant under
+//     population and capacity changes, so one O(log F) registry lookup per
+//     dirty channel replaces re-keying every riding session when a flow
+//     joins or leaves — the difference between O(log N) and O(N) per event.
 //
 // Ties pop by entity id; link ids sit above all session ids, so a session's
 // own events at time t fire before completions surface at t — mirroring the
@@ -21,7 +21,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "net/channel.h"
 #include "util/arena.h"
@@ -49,10 +48,9 @@ class EventHeap {
   /// Drop a retired session.
   void erase_session(std::uint32_t id) { heap_.erase(id); }
 
-  /// Refresh link `link_index`'s key iff its epoch moved since the last
-  /// sync (or unconditionally with `force`). A link with no registered
-  /// completions leaves the heap.
-  void sync_link(std::uint32_t link_index, const Channel& link, bool force = false);
+  /// Re-key link `link_index` on its earliest registered completion. A link
+  /// with no registered completions leaves the heap.
+  void sync_link(std::uint32_t link_index, const Channel& link);
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] Event top() const {
@@ -69,12 +67,10 @@ class EventHeap {
   }
 
   /// Structural work counters (plain integer increments, always collected):
-  /// pops, plus sync_link calls vs. the subset that actually re-keyed — the
-  /// epoch-lazy optimisation's hit rate.
+  /// pops and link re-keys.
   struct Stats {
     std::uint64_t pops = 0;
-    std::uint64_t sync_checks = 0;
-    std::uint64_t sync_refreshes = 0;
+    std::uint64_t link_syncs = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -82,9 +78,6 @@ class EventHeap {
   BasicIndexedMinHeap<ArenaAllocator<HeapEntry>> heap_;
   Stats stats_;
   std::uint32_t link_base_;
-  /// Last-synced Channel::epoch() per link; starts at a sentinel no real epoch
-  /// takes so the first sync always refreshes.
-  std::vector<std::uint64_t, ArenaAllocator<std::uint64_t>> link_epochs_;
 };
 
 }  // namespace demuxabr::fleet

@@ -76,7 +76,6 @@ FleetScheduler::Client& FleetScheduler::admit(const ClientPlan& plan) {
     // Streaming-metrics mode: no per-session vectors, no series — the
     // session maintains SessionTotals only (O(1) memory per session).
     session_config.minimal_log = true;
-    session_config.record_series = false;
   }
   session_config.start_time_s = plan.arrival_s;
   // The base max_sim_time_s is the per-client budget; the session cap is
@@ -303,12 +302,12 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   obs::PhaseStats* const register_stats =
       config_.profile ? &profile.register_phase : nullptr;
   obs::PhaseStats* const admit_stats = config_.profile ? &profile.admit : nullptr;
-  // Per-drain-phase link re-keying over the *dirty* set: the topology
-  // records the channels whose epochs moved since the last call (population
-  // changes mark exactly the affected set), so only those are re-synced.
-  // The heap's link keys are exact after every call — the same invariant
-  // the historical sync-all-links-after-every-event loop maintained, at a
-  // fraction of the checks.
+  // Per-drain-phase link re-keying over the *dirty* set: a path's clock
+  // moves iff the topology marks it dirty (population changes mark exactly
+  // the affected set), so re-keying the dirty channels keeps every heap
+  // link key exact after each call — the same invariant the historical
+  // sync-all-links-after-every-event loop maintained, at a fraction of the
+  // work.
   topology_.clear_dirty();
   const auto sync_dirty = [&] {
     for (const std::uint32_t idx : topology_.dirty_channels()) {
@@ -439,11 +438,11 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       // session keys cannot move during the drain.
       assert(event.is_link && "session entry surfaced during link phase");
       // The link's earliest registered completion is due: route the event
-      // to the owning session (token = 2*id + is_video). Firing it bumps
-      // the link epoch, so sync_dirty() below re-keys or clears the entry.
+      // to the owning session (token = 2*id + is_video). Firing it marks
+      // the link dirty, so sync_dirty() below re-keys or clears the entry.
       Channel& link = *links[event.index];
       if (!link.has_completions()) {
-        heap.sync_link(static_cast<std::uint32_t>(event.index), link, true);
+        heap.sync_link(static_cast<std::uint32_t>(event.index), link);
         continue;
       }
       process(link.earliest_completion_token() / 2u, true);
@@ -473,8 +472,9 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
     admit_due();
   }
   profile.heap_pops = heap.stats().pops;
-  profile.link_sync_checks = heap.stats().sync_checks;
-  profile.link_sync_refreshes = heap.stats().sync_refreshes;
+  // Every sync re-keys, so checks and refreshes are the same count.
+  profile.link_sync_checks = heap.stats().link_syncs;
+  profile.link_sync_refreshes = heap.stats().link_syncs;
   return now;
 }
 

@@ -14,8 +14,8 @@
 //
 //  * kEventHeap (default): an indexed min-heap keys each session on its own
 //    next *local* event time and each topology channel on its earliest
-//    registered completion (lazily re-keyed via the channel's flow-count
-//    epoch). Only the sessions with events at time t are touched; everyone
+//    registered completion (re-keyed when the topology marks the channel
+//    dirty). Only the sessions with events at time t are touched; everyone
 //    else is advanced implicitly through the channels' virtual-time service
 //    integrals. O(log N) per event.
 //

@@ -42,20 +42,6 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-/// The spec's client→path rule (Topology::video_path_for, but on the spec,
-/// before any Topology is built).
-std::size_t video_path_of(const TopologySpec& spec, int client_id) {
-  const auto id = static_cast<std::size_t>(client_id);
-  if (spec.video_assignment.empty()) return id % spec.paths.size();
-  return spec.video_assignment[id % spec.video_assignment.size()];
-}
-
-std::size_t audio_path_of(const TopologySpec& spec, int client_id) {
-  if (spec.audio_assignment.empty()) return video_path_of(spec, client_id);
-  const auto id = static_cast<std::size_t>(client_id);
-  return spec.audio_assignment[id % spec.audio_assignment.size()];
-}
-
 void merge_profiles(obs::EngineProfile& into, const obs::EngineProfile& from) {
   into.enabled = into.enabled || from.enabled;
   into.drain.wall_s += from.drain.wall_s;
@@ -84,8 +70,8 @@ ShardPartition partition_fleet(const TopologySpec& spec,
   // whole session lands in one shard. (No-op when audio rides video.)
   if (!spec.audio_assignment.empty()) {
     for (const ClientPlan& plan : plans) {
-      uf.unite(spec.paths[video_path_of(spec, plan.id)].hops[0],
-               spec.paths[audio_path_of(spec, plan.id)].hops[0]);
+      uf.unite(spec.paths[spec.video_path_for(plan.id)].hops[0],
+               spec.paths[spec.audio_path_for(plan.id)].hops[0]);
     }
   }
 
@@ -150,7 +136,7 @@ ShardPartition partition_fleet(const TopologySpec& spec,
   // same-time tie-breaks by id compare identically in the sub-simulation.
   const bool split_audio = !spec.audio_assignment.empty();
   for (const ClientPlan& plan : plans) {
-    const std::size_t s = shard_index[shard_of_link[spec.paths[video_path_of(spec, plan.id)].hops[0]]];
+    const std::size_t s = shard_index[shard_of_link[spec.paths[spec.video_path_for(plan.id)].hops[0]]];
     partition.shards[s].plans.push_back(plan);
   }
   for (FleetShard& shard : partition.shards) {
@@ -163,9 +149,9 @@ ShardPartition partition_fleet(const TopologySpec& spec,
     if (split_audio) shard.spec.audio_assignment.resize(shard.client_ids.size());
     for (std::size_t local = 0; local < shard.client_ids.size(); ++local) {
       const int global_id = shard.client_ids[local];
-      shard.spec.video_assignment[local] = local_path[video_path_of(spec, global_id)];
+      shard.spec.video_assignment[local] = local_path[spec.video_path_for(global_id)];
       if (split_audio) {
-        shard.spec.audio_assignment[local] = local_path[audio_path_of(spec, global_id)];
+        shard.spec.audio_assignment[local] = local_path[spec.audio_path_for(global_id)];
       }
     }
     for (ClientPlan& plan : shard.plans) {

@@ -1,6 +1,6 @@
 // Fleet partitioning (DESIGN.md §10): a TopologySpec whose link graph
 // splits into multiple connected components describes causally independent
-// sub-fleets — no flow on one component can ever change a rate, epoch or
+// sub-fleets — no flow on one component can ever change a rate or a
 // completion time on another. partition_fleet() finds the components (union-
 // find over links, with each client's video and audio paths coupled into
 // the same component, since one session spans both). run_fleet()

@@ -83,6 +83,18 @@ std::vector<std::size_t> TopologySpec::block_assignment(std::size_t path_count,
   return assignment;
 }
 
+std::size_t TopologySpec::video_path_for(int client_id) const {
+  const auto id = static_cast<std::size_t>(client_id);
+  if (video_assignment.empty()) return id % paths.size();
+  return video_assignment[id % video_assignment.size()];
+}
+
+std::size_t TopologySpec::audio_path_for(int client_id) const {
+  if (audio_assignment.empty()) return video_path_for(client_id);
+  const auto id = static_cast<std::size_t>(client_id);
+  return audio_assignment[id % audio_assignment.size()];
+}
+
 std::string TopologySpec::validate() const {
   if (links.empty()) return "topology has no links";
   if (paths.empty()) return "topology has no paths";
@@ -233,8 +245,9 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
   if (!problem.empty()) {
     DMX_ERROR << "invalid topology (" << problem << ") — behaviour is undefined";
   }
-  video_assignment_ = std::move(spec.video_assignment);
-  audio_assignment_ = std::move(spec.audio_assignment);
+  routes_.paths = spec.paths;
+  routes_.video_assignment = std::move(spec.video_assignment);
+  routes_.audio_assignment = std::move(spec.audio_assignment);
 
   links_.reserve(spec.links.size());
   for (std::size_t l = 0; l < spec.links.size(); ++l) {
@@ -247,7 +260,6 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
     links_.push_back(std::move(node));
   }
 
-  spec_path_count_ = spec.paths.size();
   for (const LinkSpec& link : spec.links) has_caches_ |= link.cache.has_value();
 
   // Channel hop lists, built nested first and flattened below. Channel
@@ -278,9 +290,9 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
   // (link index, hit channel index) per cached spec path; resolved into
   // cache_routes_ once paths_ is fully built and pointers are stable.
   std::vector<std::optional<std::pair<std::size_t, std::size_t>>> cache_hits(
-      spec_path_count_);
+      path_count());
   if (has_caches_) {
-    for (std::size_t p = 0; p < spec_path_count_; ++p) {
+    for (std::size_t p = 0; p < path_count(); ++p) {
       // Index, don't hold a reference: appending a derived channel can
       // reallocate channel_hops.
       for (std::size_t i = 0; i < channel_hops[p].size(); ++i) {
@@ -363,8 +375,8 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
         ArenaAllocator<HeapEntry>(arena));
     paths_.push_back(std::move(channel));
   }
-  cache_routes_.resize(spec_path_count_);
-  for (std::size_t p = 0; p < spec_path_count_; ++p) {
+  cache_routes_.resize(path_count());
+  for (std::size_t p = 0; p < path_count(); ++p) {
     if (cache_hits[p].has_value()) {
       cache_routes_[p] = PathCacheRoute{cache_hits[p]->first,
                                         &paths_[cache_hits[p]->second]};
@@ -381,18 +393,6 @@ std::shared_ptr<Channel> Topology::path_channel(std::size_t p) {
   return {std::shared_ptr<Channel>(), &paths_[p]};
 }
 
-std::size_t Topology::video_path_for(int client_id) const {
-  const auto id = static_cast<std::size_t>(client_id);
-  if (video_assignment_.empty()) return id % spec_path_count_;
-  return video_assignment_[id % video_assignment_.size()];
-}
-
-std::size_t Topology::audio_path_for(int client_id) const {
-  if (audio_assignment_.empty()) return video_path_for(client_id);
-  const auto id = static_cast<std::size_t>(client_id);
-  return audio_assignment_[id % audio_assignment_.size()];
-}
-
 void Topology::population_change(std::size_t p, int delta, double now) {
   PathChannel& path = paths_[p];
   if (delta < 0 && path.active_flows_ <= 0) {
@@ -406,7 +406,7 @@ void Topology::population_change(std::size_t p, int delta, double now) {
   // OLD populations, before any count mutates. Entities outside the
   // affected set keep their clocks untouched: their rates are unchanged, so
   // advancing them here would only re-partition their integrals (a
-  // floating-point difference) without an epoch bump to re-key cached
+  // floating-point difference) without marking them dirty to re-key their
   // completion predictions.
   {
     const std::uint32_t* const aff = aff_paths_csr_.data() + aff_paths_offsets_[p];
@@ -433,15 +433,13 @@ void Topology::population_change(std::size_t p, int delta, double now) {
     }
   }
   // Every affected path's completion predictions went stale (its rate, or
-  // its binding constraint, may have moved): bump their epochs so the
-  // event-heap engine lazily re-keys them, and record them on the dirty
-  // list the engine syncs per drain phase.
+  // its binding constraint, may have moved): record them on the dirty list
+  // the event-heap engine re-keys per drain phase.
   {
     const std::uint32_t* const aff = aff_paths_csr_.data() + aff_paths_offsets_[p];
     const std::size_t count = aff_paths_offsets_[p + 1] - aff_paths_offsets_[p];
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint32_t q = aff[i];
-      ++paths_[q].epoch_;
       if (channel_dirty_[q] == 0) {
         channel_dirty_[q] = 1;
         dirty_channels_.push_back(q);
@@ -614,8 +612,8 @@ std::vector<LinkStats> Topology::link_stats() const {
 
 std::vector<PathSummary> Topology::path_stats() const {
   std::vector<PathSummary> stats;
-  stats.reserve(spec_path_count_);
-  for (std::size_t p = 0; p < spec_path_count_; ++p) {
+  stats.reserve(path_count());
+  for (std::size_t p = 0; p < path_count(); ++p) {
     const PathChannel& path = paths_[p];
     PathSummary s;
     s.name = path.name_;

@@ -17,8 +17,9 @@
 // flow's bytes are an integral difference and the event-heap engine stays
 // O(log N + affected-topology-size) per event. Completion targets are
 // values of V_P — invariant under population and capacity changes — keyed
-// per path; a binding-constraint move re-keys them lazily through the
-// path's epoch bump (fleet/event_heap.h).
+// per path; a binding-constraint move re-keys them because the population
+// change marks every affected path dirty (dirty_channels(), read by the
+// engine in fleet/scheduler.cpp).
 //
 // Hot-path layout (DESIGN.md §12): every per-path hop list, per-link rider
 // set, and affected set is flattened at construction into contiguous
@@ -152,6 +153,12 @@ struct TopologySpec {
   static std::vector<std::size_t> block_assignment(std::size_t path_count,
                                                    std::size_t clients_per_path);
 
+  /// The client→path rule: the path client `client_id`'s video (audio)
+  /// rides under the assignments above. Topology and the shard partitioner
+  /// both route through these.
+  [[nodiscard]] std::size_t video_path_for(int client_id) const;
+  [[nodiscard]] std::size_t audio_path_for(int client_id) const;
+
   /// Empty string when well-formed; otherwise a description of the first
   /// problem (no links, empty/out-of-range/duplicate hops, bad assignment,
   /// a path traversing more than one cached link).
@@ -193,7 +200,6 @@ class PathChannel final : public Channel {
   double add_flow(double now) override;
   void remove_flow(double now) override;
   [[nodiscard]] int active_flows() const override { return active_flows_; }
-  [[nodiscard]] std::uint64_t epoch() const override { return epoch_; }
   [[nodiscard]] double service_at(double t) const override;
   [[nodiscard]] double time_when_service_reaches(double v_target) const override;
 
@@ -230,7 +236,6 @@ class PathChannel final : public Channel {
 
   int active_flows_ = 0;
   int peak_flows_ = 0;
-  std::uint64_t epoch_ = 0;
 
   double clock_s_ = 0.0;       ///< time up to which V_P is advanced
   double service_kbit_ = 0.0;  ///< V_P(clock_s_): per-flow min-share integral
@@ -258,7 +263,7 @@ class Topology {
   /// Spec paths only — the routes clients are assigned to. Derived hit
   /// channels (cache-aware routing) live above this index; see
   /// channel_count().
-  [[nodiscard]] std::size_t path_count() const { return spec_path_count_; }
+  [[nodiscard]] std::size_t path_count() const { return routes_.paths.size(); }
   /// All channels: spec paths first, then the derived "<path>:hit" prefix
   /// channels cache hits ride. The event-heap engine watches completions on
   /// every channel, so it enumerates up to this count.
@@ -279,10 +284,14 @@ class Topology {
     return cache_routes_[p];
   }
 
-  [[nodiscard]] std::size_t video_path_for(int client_id) const;
-  [[nodiscard]] std::size_t audio_path_for(int client_id) const;
+  [[nodiscard]] std::size_t video_path_for(int client_id) const {
+    return routes_.video_path_for(client_id);
+  }
+  [[nodiscard]] std::size_t audio_path_for(int client_id) const {
+    return routes_.audio_path_for(client_id);
+  }
   /// True when any client's audio rides a different path than its video.
-  [[nodiscard]] bool split_audio() const { return !audio_assignment_.empty(); }
+  [[nodiscard]] bool split_audio() const { return !routes_.audio_assignment.empty(); }
 
   /// Advance every path's and link's integrals to `t` (idle tails
   /// included). Call once at the end of a run, before stats.
@@ -300,12 +309,12 @@ class Topology {
 
   // --- Engine dirty-channel tracking (fleet/scheduler.cpp). ---
   //
-  // Every population change bumps the epoch of each affected channel and
-  // records its index here (deduplicated) — so the event-heap engine can
-  // re-sync exactly the channels whose completion keys may have moved,
-  // instead of sweeping every channel after every event.
+  // Every population change records each affected channel's index here
+  // (deduplicated) — the one record of which completion keys may have
+  // moved, so the event-heap engine re-syncs exactly those channels instead
+  // of sweeping every channel after every event.
 
-  /// Channels whose epochs moved since the last clear_dirty(), in
+  /// Channels whose clocks or rates moved since the last clear_dirty(), in
   /// first-dirtied order. Order is irrelevant to consumers: syncing writes
   /// absolute keys, so any re-sync order yields the same heap state.
   [[nodiscard]] const std::vector<std::uint32_t>& dirty_channels() const {
@@ -367,9 +376,10 @@ class Topology {
   /// The one mutation point: path `p` gains (+1) or loses (-1) a flow at
   /// `now`. Advances every affected path's V and every affected link's
   /// books to `now` with the OLD populations, then mutates counts and
-  /// bumps every affected path's epoch — preserving the invariant that a
-  /// path's clock moves iff its epoch does, which is what keeps cached
-  /// event-heap keys exact (never stale by a partitioning difference).
+  /// marks every affected path dirty — preserving the invariant that a
+  /// path's clock moves iff the topology marks it dirty, which is what
+  /// keeps event-heap keys exact (never stale by a partitioning
+  /// difference).
   void population_change(std::size_t p, int delta, double now);
 
   void advance_path(std::size_t p, double now);
@@ -383,14 +393,14 @@ class Topology {
     return hop_offsets_[p + 1] - hop_offsets_[p];
   }
 
-  std::vector<std::size_t> video_assignment_;
-  std::vector<std::size_t> audio_assignment_;
+  /// The spec's paths and client assignments (its links live in links_):
+  /// what TopologySpec's client→path rule reads.
+  TopologySpec routes_;
   obs::TimelineShard* telemetry_ = nullptr;
   std::vector<LinkNode> links_;
-  /// Spec paths [0, spec_path_count_), then derived hit channels. Sized
-  /// once at construction (sessions hold raw Channel pointers into it).
+  /// Spec paths [0, path_count()), then derived hit channels. Sized once at
+  /// construction (sessions hold raw Channel pointers into it).
   std::vector<PathChannel> paths_;
-  std::size_t spec_path_count_ = 0;
   bool has_caches_ = false;
   /// Per spec path: its cached hop + hit channel, if any.
   std::vector<std::optional<PathCacheRoute>> cache_routes_;
@@ -419,8 +429,8 @@ class Topology {
   std::vector<std::uint32_t> aff_links_csr_;
   std::vector<std::uint32_t> aff_links_offsets_;
 
-  /// Dirty-channel accumulator: indices appended at epoch bump, flag array
-  /// dedupes.
+  /// Dirty-channel accumulator: indices appended at population change, flag
+  /// array dedupes.
   std::vector<std::uint32_t> dirty_channels_;
   std::vector<std::uint8_t> channel_dirty_;
 };

@@ -36,10 +36,6 @@ class Channel {
 
   [[nodiscard]] virtual int active_flows() const = 0;
 
-  /// Bumped on every population change; the fleet event engine uses it to
-  /// detect that completion predictions keyed on this carrier went stale.
-  [[nodiscard]] virtual std::uint64_t epoch() const = 0;
-
   /// Per-flow cumulative service [kbit] at `t` >= the last mutation time.
   /// Pure: repeated reads at any t give identical values.
   [[nodiscard]] virtual double service_at(double t) const = 0;

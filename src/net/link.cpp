@@ -40,7 +40,6 @@ double Link::add_flow(double now) {
   advance_to(now);
   ++active_flows_;
   peak_flows_ = std::max(peak_flows_, active_flows_);
-  ++epoch_;
   DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
   return service_kbit_;
@@ -55,7 +54,6 @@ void Link::remove_flow(double now) {
     return;
   }
   --active_flows_;
-  ++epoch_;
   DMX_TRACE_COUNTER(obs::kCatLink, obs::kLinkTrackBase, "active_flows", now,
                     obs::TraceArgs().kv("flows", active_flows_));
 }

@@ -59,9 +59,6 @@ class Link final : public Channel {
   [[nodiscard]] int active_flows() const override { return active_flows_; }
   /// Highest concurrent flow count ever observed.
   [[nodiscard]] int peak_flows() const { return peak_flows_; }
-  /// Bumped on every population change: completion predictions keyed on
-  /// this link went stale.
-  [[nodiscard]] std::uint64_t epoch() const override { return epoch_; }
 
   /// Per-flow cumulative service [kbit] at `t` >= the last mutation time.
   /// Pure: walks capacity segments from the stored integral without
@@ -104,18 +101,6 @@ class Link final : public Channel {
     return trace_.rate_kbps(t);
   }
 
-  /// Rate each active flow receives at time t (capacity when idle, so a
-  /// flow about to start can be quoted).
-  [[nodiscard]] double per_flow_kbps(double t) const {
-    const int n = active_flows_ > 0 ? active_flows_ : 1;
-    return trace_.rate_kbps(t) / static_cast<double>(n);
-  }
-
-  /// Next time > t at which capacity changes.
-  [[nodiscard]] double next_change_after(double t) const {
-    return trace_.next_change_after(t);
-  }
-
   // --- Utilization accounting (integrated alongside the service curve). ---
   //
   // Advanced at the same lazy points as V(t), so busy time, flow-seconds
@@ -132,8 +117,6 @@ class Link final : public Channel {
   [[nodiscard]] double offered_kbit() const { return offered_kbit_; }
   [[nodiscard]] double delivered_kbit() const { return delivered_kbit_; }
 
-  [[nodiscard]] const BandwidthTrace& trace() const { return trace_; }
-
  private:
   /// Advance the service + accounting integrals from clock_s_ to t with the
   /// current population, walking capacity segments so time-varying traces
@@ -143,7 +126,6 @@ class Link final : public Channel {
   BandwidthTrace trace_;
   int active_flows_ = 0;
   int peak_flows_ = 0;
-  std::uint64_t epoch_ = 0;
 
   double clock_s_ = 0.0;    ///< time up to which all integrals are advanced
   double service_kbit_ = 0.0;  ///< V(clock_s_): per-flow service integral
@@ -160,8 +142,8 @@ class Link final : public Channel {
 /// The network between client and server(s): one carrier per media type.
 /// `shared` points both media types at the same Link object so concurrent
 /// audio+video downloads contend (the root of Shaka's mis-estimation, §3.3).
-/// A topology-aware fleet instead wires each member at a fleet::PathChannel
-/// via `over`, so both media types ride a multi-hop client→edge→core path.
+/// A fleet instead wires each member at fleet::PathChannels, so both media
+/// types ride a multi-hop client→edge→core path.
 class FlowRouter;
 
 struct Network {
@@ -188,17 +170,6 @@ struct Network {
     Network net;
     net.video_link = std::make_shared<Link>(std::move(video_trace));
     net.audio_link = std::make_shared<Link>(std::move(audio_trace));
-    net.rtt_s = rtt_s;
-    return net;
-  }
-
-  /// Wire arbitrary carriers (e.g. topology paths). `audio` may equal
-  /// `video` for the shared case.
-  static Network over(std::shared_ptr<Channel> video, std::shared_ptr<Channel> audio,
-                      double rtt_s = 0.05) {
-    Network net;
-    net.video_link = std::move(video);
-    net.audio_link = std::move(audio);
     net.rtt_s = rtt_s;
     return net;
   }

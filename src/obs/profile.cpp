@@ -20,11 +20,10 @@ std::string EngineProfile::to_json() const {
   out += phase_json("admit", admit) + ",";
   out += format(
       "\"heap_pops\":%llu,\"link_sync_checks\":%llu,"
-      "\"link_sync_refreshes\":%llu,\"epoch_lazy_hit_rate\":%.4f",
+      "\"link_sync_refreshes\":%llu",
       static_cast<unsigned long long>(heap_pops),
       static_cast<unsigned long long>(link_sync_checks),
-      static_cast<unsigned long long>(link_sync_refreshes),
-      epoch_lazy_hit_rate());
+      static_cast<unsigned long long>(link_sync_refreshes));
   return out + "}";
 }
 
@@ -43,12 +42,10 @@ std::string EngineProfile::to_table() const {
   row("admit", admit);
   out += format("  total     %9.3f\n", total_wall_s());
   out += format(
-      "  heap_pops=%llu link_sync_checks=%llu refreshes=%llu "
-      "epoch_lazy_hit_rate=%.1f%%\n",
+      "  heap_pops=%llu link_sync_checks=%llu refreshes=%llu\n",
       static_cast<unsigned long long>(heap_pops),
       static_cast<unsigned long long>(link_sync_checks),
-      static_cast<unsigned long long>(link_sync_refreshes),
-      epoch_lazy_hit_rate() * 100.0);
+      static_cast<unsigned long long>(link_sync_refreshes));
   return out;
 }
 

@@ -3,8 +3,8 @@
 // (drain / register / admit) instead of "the engine got slower".
 //
 // Wall-clock reads only happen when profiling was requested
-// (FleetConfig::profile); the heap's structural counters (pops, lazy-sync
-// hit rate) are plain integer increments and are always collected.
+// (FleetConfig::profile); the heap's structural counters (pops, link
+// re-keys) are plain integer increments and are always collected.
 #pragma once
 
 #include <chrono>
@@ -33,19 +33,13 @@ struct EngineProfile {
 
   /// Heap structure counters (always collected, engine=event_heap only).
   std::uint64_t heap_pops = 0;
-  /// sync_link calls vs. the subset that actually re-keyed: the epoch-lazy
-  /// optimisation's effectiveness. A check that hits the epoch cache is
-  /// O(1); a refresh costs an O(log F) registry lookup + O(log N) re-key.
+  /// Link re-keys (EventHeap::sync_link calls), each an O(log F) registry
+  /// lookup + O(log N) heap update. The engine re-keys exactly the dirty
+  /// channels, so checks and refreshes carry the same count; both keys stay
+  /// in the report schema (the benchmark harness reads each).
   std::uint64_t link_sync_checks = 0;
   std::uint64_t link_sync_refreshes = 0;
 
-  /// Fraction of sync checks answered by the epoch cache without a re-key.
-  [[nodiscard]] double epoch_lazy_hit_rate() const {
-    return link_sync_checks > 0
-               ? 1.0 - static_cast<double>(link_sync_refreshes) /
-                           static_cast<double>(link_sync_checks)
-               : 0.0;
-  }
   [[nodiscard]] double total_wall_s() const {
     return drain.wall_s + register_phase.wall_s + admit.wall_s;
   }

@@ -49,8 +49,7 @@ StreamingSession::StreamingSession(const Content& content, ManifestView view,
   if (!config_.minimal_log) {
     log_.video_selection.assign(static_cast<std::size_t>(total_chunks_), "");
     log_.audio_selection.assign(static_cast<std::size_t>(total_chunks_), "");
-    log_.reserve_for(total_chunks_, content_duration_s_,
-                     config_.record_series ? config_.delta_s : 0.0);
+    log_.reserve_for(total_chunks_, content_duration_s_, config_.delta_s);
   }
 }
 
@@ -116,7 +115,7 @@ void StreamingSession::start_flow(const DownloadRequest& request) {
   f.v_start_kbit = 0.0;
   f.v_target_kbit = 0.0;
 
-  if (config_.record_series) {
+  if (!config_.minimal_log) {
     if (request.type == MediaType::kVideo) {
       log_.selected_video_kbps.add(now_, track->avg_kbps);
     } else {
@@ -451,7 +450,7 @@ void StreamingSession::sample_series() {
         std::abs(audio_buffer_.level_s() - video_buffer_.level_s());
     totals.have_sample = true;
   }
-  if (!config_.record_series) return;
+  if (config_.minimal_log) return;
   log_.audio_buffer_s.add(now_, audio_buffer_.level_s());
   log_.video_buffer_s.add(now_, video_buffer_.level_s());
   log_.bandwidth_estimate_kbps.add(now_, player_.bandwidth_estimate_kbps());

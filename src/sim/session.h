@@ -70,12 +70,10 @@ struct SessionConfig {
   /// global clock (link traces are evaluated at absolute time). All logged
   /// times are then absolute; startup_delay_s stays relative to this.
   double start_time_s = 0.0;
-  /// Record buffer/estimate/selection time series in the log.
-  bool record_series = true;
   /// Minimal-log mode (streaming fleets, DESIGN.md §10): suppress the
-  /// per-download/stall/selection vectors entirely — the log carries only
-  /// SessionTotals plus scalars, so memory per session is O(1) instead of
-  /// O(chunks). The totals are maintained identically in both modes; only
+  /// per-download/stall/selection vectors and the buffer/estimate/selection
+  /// time series entirely — the log carries only SessionTotals plus
+  /// scalars, so memory per session is O(1) instead of O(chunks). The totals are maintained identically in both modes; only
   /// compute_qoe's combo_switches (and seek support) need the vectors.
   bool minimal_log = false;
   /// Base id for this session's flow tokens on shared links (audio flow =

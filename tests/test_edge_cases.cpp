@@ -63,17 +63,30 @@ TEST(ProgressSample, ThroughputMath) {
 }
 
 TEST(Session, RecordSeriesOffKeepsLogLean) {
+  // Minimal-log mode is the one switch that turns series recording off.
   auto setup = ex::bestpractice_dash(BandwidthTrace::constant(900.0), "lean");
-  setup.session.record_series = false;
+  setup.session.minimal_log = true;
   CoordinatedPlayer player;
   const SessionLog log = ex::run(setup, player);
   EXPECT_TRUE(log.completed);
+  EXPECT_TRUE(log.minimal);
+  EXPECT_TRUE(log.audio_buffer_s.empty());
   EXPECT_TRUE(log.video_buffer_s.empty());
   EXPECT_TRUE(log.bandwidth_estimate_kbps.empty());
   EXPECT_TRUE(log.achieved_throughput_kbps.empty());
-  // Selections and downloads are always recorded.
-  EXPECT_FALSE(log.video_selection.empty());
-  EXPECT_FALSE(log.downloads.empty());
+  EXPECT_TRUE(log.selected_video_kbps.empty());
+  EXPECT_TRUE(log.selected_audio_kbps.empty());
+  EXPECT_TRUE(log.video_selection.empty());
+  EXPECT_TRUE(log.downloads.empty());
+
+  // The same session with the full log records every series.
+  auto full = ex::bestpractice_dash(BandwidthTrace::constant(900.0), "full");
+  CoordinatedPlayer full_player;
+  const SessionLog full_log = ex::run(full, full_player);
+  EXPECT_FALSE(full_log.video_buffer_s.empty());
+  EXPECT_FALSE(full_log.bandwidth_estimate_kbps.empty());
+  EXPECT_FALSE(full_log.achieved_throughput_kbps.empty());
+  EXPECT_FALSE(full_log.selected_video_kbps.empty());
 }
 
 TEST(Session, CustomDeltaChangesSamplingGranularity) {

@@ -119,7 +119,7 @@ TEST(EventHeap, SessionsPopBeforeLinksOnTies) {
   EXPECT_DOUBLE_EQ(heap.top().t, 5.0);
 }
 
-TEST(EventHeap, LazyLinkSyncTracksEpoch) {
+TEST(EventHeap, LinkSyncRekeysOnEarliestCompletion) {
   fleet::EventHeap heap(2, 1);
   Link link(BandwidthTrace::constant(1000.0));
   link.add_flow(0.0);
@@ -127,11 +127,11 @@ TEST(EventHeap, LazyLinkSyncTracksEpoch) {
   heap.sync_link(0, link);
   EXPECT_DOUBLE_EQ(heap.top().t, 1.0);
 
-  // Same epoch: sync is a no-op even though we could recompute.
+  // Nothing moved: re-syncing re-derives the same key.
   heap.sync_link(0, link);
   EXPECT_DOUBLE_EQ(heap.top().t, 1.0);
 
-  // A second flow halves the rate: epoch moves, the key is re-derived.
+  // A second flow halves the rate: the key is re-derived later.
   link.add_flow(0.5);
   heap.sync_link(0, link);
   EXPECT_DOUBLE_EQ(heap.top().t, 1.5);  // 500 kbit left at 500 kbps
@@ -158,37 +158,27 @@ TEST(EventHeapStats, PopsCountEveryPop) {
   EXPECT_EQ(heap.stats().pops, 2u);
 }
 
-TEST(EventHeapStats, SyncChecksCountEveryCallRefreshesOnlyEpochMoves) {
+TEST(EventHeapStats, LinkSyncsCountEveryCall) {
   fleet::EventHeap heap(2, 1);
   Link link(BandwidthTrace::constant(1000.0));
   link.add_flow(0.0);
   link.register_completion(0, 1000.0);
 
-  // First sync always refreshes (the epoch cache starts at a sentinel).
   heap.sync_link(0, link);
-  EXPECT_EQ(heap.stats().sync_checks, 1u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 1u);
+  EXPECT_EQ(heap.stats().link_syncs, 1u);
 
-  // Clean epoch: checks advance, refreshes don't — the lazy hit.
+  // Every call re-keys, whether or not the population moved in between.
   heap.sync_link(0, link);
-  heap.sync_link(0, link);
-  EXPECT_EQ(heap.stats().sync_checks, 3u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 1u);
-
-  // Population change bumps the epoch: the next check refreshes once.
   link.add_flow(0.25);
   heap.sync_link(0, link);
+  EXPECT_EQ(heap.stats().link_syncs, 3u);
+
+  // A sync that drops the link from the heap counts too; pops do not.
+  link.unregister_completion(0);
   heap.sync_link(0, link);
-  EXPECT_EQ(heap.stats().sync_checks, 5u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 2u);
-
-  // Forced sync refreshes even on a clean epoch.
-  heap.sync_link(0, link, /*force=*/true);
-  EXPECT_EQ(heap.stats().sync_checks, 6u);
-  EXPECT_EQ(heap.stats().sync_refreshes, 3u);
-
-  // Invariant the profile's hit rate relies on.
-  EXPECT_LE(heap.stats().sync_refreshes, heap.stats().sync_checks);
+  EXPECT_TRUE(heap.empty());
+  EXPECT_EQ(heap.stats().link_syncs, 4u);
+  EXPECT_EQ(heap.stats().pops, 0u);
 }
 
 }  // namespace

@@ -9,11 +9,16 @@
 //     link's delivered integral), residual_flows == 0, the min-share
 //     bound (a path's rate/integral never exceeds any hop's fair share),
 //     and bit-exact agreement of a 1-hop path with a plain net/link.h Link.
+//     A second seeded suite checks the dirty set, the engine's only record
+//     of which completion keys moved: one population change on path p
+//     dirties exactly the paths sharing a link with p.
 //  3. Regression: finalize on never-used links (idle tail, 0/0 utilization
 //     guard) and completion re-keying when the binding constraint moves
-//     mid-flow (epoch-lazy sync counters must reconcile).
+//     mid-flow (the dirty set names the moved path, and re-keying it moves
+//     the heap key).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -334,6 +339,121 @@ TEST(TopologyProperty, RandomTopologiesHoldInvariantsOver200Cases) {
   EXPECT_GT(total_adds, 220 * 10);
 }
 
+/// Random cache-less topology whose paths share links only in part: 2..8
+/// links and 1..8 paths of 1..3 distinct random hops, so a path's sharers
+/// range from itself alone to every path.
+TopologySpec random_partial_spec(Rng& rng) {
+  TopologySpec spec;
+  const std::int64_t link_count = rng.uniform_int(2, 8);
+  for (std::int64_t l = 0; l < link_count; ++l) {
+    spec.add_link(format("link-%d", static_cast<int>(l)), random_trace(rng));
+  }
+  const std::int64_t path_count = rng.uniform_int(1, 8);
+  for (std::int64_t p = 0; p < path_count; ++p) {
+    const auto hop_count =
+        static_cast<std::size_t>(rng.uniform_int(1, std::min<std::int64_t>(3, link_count)));
+    std::vector<std::size_t> hops;
+    while (hops.size() < hop_count) {
+      const auto l = static_cast<std::size_t>(rng.uniform_int(0, link_count - 1));
+      if (std::find(hops.begin(), hops.end(), l) == hops.end()) hops.push_back(l);
+    }
+    spec.add_path(format("path-%d", static_cast<int>(p)), std::move(hops));
+  }
+  return spec;
+}
+
+/// Sorted copy of the topology's dirty set.
+std::vector<std::uint32_t> sorted_dirty(const Topology& topo) {
+  std::vector<std::uint32_t> dirty = topo.dirty_channels();
+  std::sort(dirty.begin(), dirty.end());
+  return dirty;
+}
+
+TEST(TopologyProperty, DirtySetIsExactlyTheLinkSharingPaths) {
+  std::size_t partial_cases = 0;  // dirty sets strictly between {p} and all
+  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
+    SCOPED_TRACE(testing::Message() << "case seed " << seed);
+    Rng rng(seed);
+    const TopologySpec spec = random_partial_spec(rng);
+    ASSERT_EQ(spec.validate(), "");
+    // Expected dirty set of a change on p, from the spec alone.
+    std::vector<std::vector<std::uint32_t>> sharers(spec.paths.size());
+    for (std::size_t p = 0; p < spec.paths.size(); ++p) {
+      for (std::size_t q = 0; q < spec.paths.size(); ++q) {
+        const std::vector<std::size_t>& a = spec.paths[p].hops;
+        const std::vector<std::size_t>& b = spec.paths[q].hops;
+        const bool shares = std::any_of(a.begin(), a.end(), [&](std::size_t l) {
+          return std::find(b.begin(), b.end(), l) != b.end();
+        });
+        if (shares) sharers[p].push_back(static_cast<std::uint32_t>(q));
+      }
+    }
+    Topology topo(spec);
+    ASSERT_EQ(topo.channel_count(), spec.paths.size());
+    std::vector<int> flows(spec.paths.size(), 0);
+    double now = 0.0;
+    for (int e = 0; e < 30; ++e) {
+      now += rng.exponential(0.5);
+      const auto p = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(spec.paths.size()) - 1));
+      topo.clear_dirty();
+      const std::shared_ptr<Channel> channel = topo.path_channel(p);
+      if (flows[p] > 0 && rng.bernoulli(0.45)) {
+        channel->remove_flow(now);
+        --flows[p];
+      } else {
+        channel->add_flow(now);
+        ++flows[p];
+      }
+      EXPECT_EQ(sorted_dirty(topo), sharers[p]) << "change on path " << p;
+      if (sharers[p].size() > 1 && sharers[p].size() < spec.paths.size()) {
+        ++partial_cases;
+      }
+      topo.clear_dirty();
+      EXPECT_TRUE(topo.dirty_channels().empty());
+    }
+    for (std::size_t p = 0; p < flows.size(); ++p) {
+      for (; flows[p] > 0; --flows[p]) topo.path_channel(p)->remove_flow(now);
+    }
+  }
+  // The generator produced paths that share some links but not all.
+  EXPECT_GT(partial_cases, 100u);
+}
+
+TEST(TopologyRegression, DisjointChainDirtiesOnlyItself) {
+  TopologySpec spec;
+  for (int c = 0; c < 3; ++c) {
+    const std::size_t access = spec.add_link(format("access-%d", c),
+                                             BandwidthTrace::constant(2000.0));
+    const std::size_t edge = spec.add_link(format("edge-%d", c),
+                                           BandwidthTrace::constant(1000.0));
+    spec.add_path(format("chain-%d", c), {access, edge});
+  }
+  Topology topo(std::move(spec));
+  topo.clear_dirty();
+  topo.path_channel(1)->add_flow(1.0);
+  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{1}));
+  topo.clear_dirty();
+  topo.path_channel(1)->remove_flow(2.0);
+  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{1}));
+  topo.clear_dirty();
+  EXPECT_TRUE(topo.dirty_channels().empty());
+}
+
+TEST(TopologyRegression, SharedCoreDirtiesEveryPath) {
+  Topology topo(TopologySpec::sharded(4, BandwidthTrace::constant(4000.0),
+                                      BandwidthTrace::constant(2000.0),
+                                      BandwidthTrace::constant(3000.0)));
+  topo.clear_dirty();
+  topo.path_channel(2)->add_flow(1.0);
+  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  topo.clear_dirty();
+  topo.path_channel(2)->remove_flow(2.0);
+  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  topo.clear_dirty();
+  EXPECT_TRUE(topo.dirty_channels().empty());
+}
+
 TEST(TopologyProperty, OneHopPathIsBitIdenticalToPlainLink) {
   // The degenerate arithmetic claim at the oracle level: a 1-link topology
   // and a bare Link driven through the same schedule agree to the last bit
@@ -367,7 +487,9 @@ TEST(TopologyProperty, OneHopPathIsBitIdenticalToPlainLink) {
       EXPECT_EQ(link.time_when_service_reaches(target),
                 path->time_when_service_reaches(target));
       EXPECT_EQ(link.active_flows(), path->active_flows());
-      EXPECT_EQ(link.epoch(), path->epoch());
+      // Every change moves the one path's clock, so it is always dirty.
+      EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{0}));
+      topo.clear_dirty();
     }
     while (active-- > 0) {
       now += 0.25;
@@ -476,8 +598,8 @@ TEST(TopologyRegression, DoubleRemoveOnIdlePathIsDetected) {
 TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
   // Path A rides edge(1000) → core(3000): binding starts at the edge. Five
   // flows then pile onto the core via path B, dropping the core's fair
-  // share to 500 < 1000 — the binding constraint moves mid-flow, A's epoch
-  // bumps, and the (lazily re-keyed) completion prediction shifts later.
+  // share to 500 < 1000 — the binding constraint moves mid-flow, the
+  // topology marks A dirty, and re-keying it shifts the completion later.
   TopologySpec spec;
   const std::size_t core = spec.add_link("core", BandwidthTrace::constant(3000.0));
   const std::size_t edge = spec.add_link("edge", BandwidthTrace::constant(1000.0));
@@ -496,28 +618,29 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
   EventHeap heap(/*session_count=*/1, /*link_count=*/2);
   heap.sync_link(0, *a);
   heap.sync_link(1, *b);
-  const std::uint64_t checks_before = heap.stats().sync_checks;
-  const std::uint64_t refreshes_before = heap.stats().sync_refreshes;
+  ASSERT_FALSE(heap.empty());
+  EXPECT_DOUBLE_EQ(heap.top().t, 10.0);
 
-  // Re-sync without any population change: the epoch cache must swallow it.
-  heap.sync_link(0, *a);
-  EXPECT_EQ(heap.stats().sync_checks, checks_before + 1);
-  EXPECT_EQ(heap.stats().sync_refreshes, refreshes_before);
-
-  const std::uint64_t epoch_before = a->epoch();
+  topo.clear_dirty();
   for (int i = 0; i < 5; ++i) b->add_flow(2.0);
-  // A population change on a sibling path sharing the core bumps A's epoch…
-  EXPECT_GT(a->epoch(), epoch_before);
+  // A population change on a sibling path sharing the core marks A dirty
+  // as well as B…
+  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{0, 1}));
   // …and the re-derived completion lands later: 2 Mbit done in the first
   // 2 s at 1000 kbps, the remaining 8 Mbit now trickles at core/6 = 500.
   EXPECT_DOUBLE_EQ(a->earliest_completion_time(), 2.0 + 8000.0 / 500.0);
 
-  // The lazy sync notices exactly one stale entry and re-keys it.
-  const std::uint64_t refreshes_mid = heap.stats().sync_refreshes;
-  heap.sync_link(0, *a);
-  heap.sync_link(1, *b);
-  EXPECT_EQ(heap.stats().sync_refreshes, refreshes_mid + 2);  // both paths moved
-  EXPECT_TRUE(heap.stats().sync_checks >= heap.stats().sync_refreshes);
+  // Re-keying the dirty set, as the engine does, moves A's heap key.
+  const std::vector<std::shared_ptr<Channel>> channels = {a, b};
+  for (const std::uint32_t idx : topo.dirty_channels()) {
+    heap.sync_link(idx, *channels[idx]);
+  }
+  topo.clear_dirty();
+  EXPECT_TRUE(topo.dirty_channels().empty());
+  ASSERT_FALSE(heap.empty());
+  EXPECT_TRUE(heap.top().is_link);
+  EXPECT_EQ(heap.top().index, 0u);
+  EXPECT_DOUBLE_EQ(heap.top().t, 18.0);
 
   a->unregister_completion(0);
   a->remove_flow(4.0);
@@ -526,28 +649,6 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
   for (const LinkStats& link : topo.link_stats()) {
     EXPECT_EQ(link.residual_flows, 0) << link.name;
   }
-}
-
-TEST(TopologyRegression, EventHeapSyncCountersReconcileOnTopologyFleet) {
-  // Fleet-level: the sync counters surface through the profile and must
-  // reconcile (every refresh was a check). On a topology fleet the engine
-  // syncs only the dirty set — channels whose epochs moved since the last
-  // phase — so every check refreshes: wasted checks would mean the dirty
-  // list over-approximates the stale set.
-  const ex::ExperimentSetup setup = ex::plain_dash(ex::varying_600_trace(), "sync");
-  FleetConfig config = base_config(8, 17);
-  config.arrivals = ArrivalProcess::kDeterministic;
-  config.arrival_interval_s = 3.0;
-  config.topology = TopologySpec::sharded(
-      2, BandwidthTrace::constant(4000.0), BandwidthTrace::constant(1500.0),
-      BandwidthTrace::constant(3600.0));
-  config.engine = Engine::kEventHeap;
-  const FleetResult result = run_fleet(
-      setup.content, setup.view, BandwidthTrace::constant(1000.0), config);
-
-  EXPECT_GT(result.profile.link_sync_checks, 0u);
-  EXPECT_GT(result.profile.link_sync_refreshes, 0u);
-  EXPECT_EQ(result.profile.link_sync_checks, result.profile.link_sync_refreshes);
 }
 
 TEST(TopologySpecValidate, RejectsMalformedSpecs) {

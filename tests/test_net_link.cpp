@@ -9,17 +9,6 @@
 namespace demuxabr {
 namespace {
 
-TEST(Link, ProcessorSharingSplitsCapacity) {
-  Link link(BandwidthTrace::constant(1000.0));
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 1000.0);  // idle: quoted full rate
-  link.add_flow(0.0);
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 1000.0);
-  link.add_flow(0.0);
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 500.0);
-  link.remove_flow(0.0);
-  EXPECT_DOUBLE_EQ(link.per_flow_kbps(0.0), 1000.0);
-}
-
 TEST(Link, DoubleRemoveIsDetected) {
   Link link(BandwidthTrace::constant(1000.0));
   link.add_flow(0.0);
@@ -75,7 +64,6 @@ TEST(Link, CapacityFollowsTrace) {
   Link link(BandwidthTrace::square_wave(300.0, 900.0, 10.0, 10.0));
   EXPECT_DOUBLE_EQ(link.capacity_kbps(5.0), 300.0);
   EXPECT_DOUBLE_EQ(link.capacity_kbps(15.0), 900.0);
-  EXPECT_DOUBLE_EQ(link.next_change_after(5.0), 10.0);
 }
 
 TEST(Link, ServiceIntegralAccruesPerFlow) {
@@ -132,16 +120,6 @@ TEST(Link, CompletionRegistryOrdersByTargetThenToken) {
   EXPECT_FALSE(link.has_completions());
   EXPECT_EQ(link.earliest_completion_time(),
             std::numeric_limits<double>::infinity());
-}
-
-TEST(Link, EpochBumpsOnEveryPopulationChange) {
-  Link link(BandwidthTrace::constant(1000.0));
-  const std::uint64_t e0 = link.epoch();
-  link.add_flow(0.0);
-  EXPECT_GT(link.epoch(), e0);
-  const std::uint64_t e1 = link.epoch();
-  link.remove_flow(1.0);
-  EXPECT_GT(link.epoch(), e1);
 }
 
 TEST(Link, UtilizationIntegralsCoverIdleTime) {

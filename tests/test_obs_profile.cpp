@@ -28,7 +28,7 @@ TEST(EngineProfileJson, SchemaKeysAreStable) {
   for (const char* key :
        {"\"enabled\"", "\"drain\"", "\"register\"", "\"admit\"", "\"wall_s\"",
         "\"calls\"", "\"heap_pops\"", "\"link_sync_checks\"",
-        "\"link_sync_refreshes\"", "\"epoch_lazy_hit_rate\""}) {
+        "\"link_sync_refreshes\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
   }
 }
@@ -39,16 +39,12 @@ TEST(EngineProfileJson, ValuesRoundTrip) {
   EXPECT_NE(json.find("\"heap_pops\":1000"), std::string::npos);
   EXPECT_NE(json.find("\"drain\":{\"wall_s\":1.500000,\"calls\":300}"),
             std::string::npos);
-  // 1 - 100/400
-  EXPECT_NE(json.find("\"epoch_lazy_hit_rate\":0.7500"), std::string::npos);
 }
 
 TEST(EngineProfile, DerivedQuantities) {
   const EngineProfile profile = sample_profile();
   EXPECT_DOUBLE_EQ(profile.total_wall_s(), 1.875);
-  EXPECT_DOUBLE_EQ(profile.epoch_lazy_hit_rate(), 0.75);
-  // Empty profile: no division by zero.
-  EXPECT_DOUBLE_EQ(EngineProfile{}.epoch_lazy_hit_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(EngineProfile{}.total_wall_s(), 0.0);
 }
 
 }  // namespace
