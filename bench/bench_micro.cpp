@@ -1,14 +1,23 @@
 // Microbenchmarks of the framework's hot paths: manifest serialize/parse,
-// estimator updates, BOLA decisions, and end-to-end session throughput
-// (simulated seconds per wall second).
+// estimator updates, BOLA decisions, the fleet event queue (heap pops and
+// shared-core re-keys), and end-to-end session throughput (simulated
+// seconds per wall second).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <vector>
 
 #include "core/coordinated_player.h"
 #include "experiments/scenarios.h"
+#include "fleet/event_heap.h"
+#include "fleet/topology.h"
 #include "manifest/builder.h"
 #include "players/bola.h"
 #include "players/estimators.h"
 #include "sim/session.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -126,6 +135,95 @@ void BM_Micro_SessionLogReserve(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kTicks * 4);
 }
 BENCHMARK(BM_Micro_SessionLogReserve)->Arg(0)->Arg(1);
+
+// The fleet event heap under the engine's tick pattern: ~1,010 entries (a
+// 1000-client fleet plus its channels), pop the earliest and reinsert it
+// one 0.125 s tick later. One item = one pop + one reinsert.
+void BM_Micro_EventHeapTick(benchmark::State& state) {
+  constexpr std::uint32_t kEntries = 1010;
+  constexpr double kTick = 0.125;
+  fleet::EventHeap heap(kEntries, 0);
+  Rng rng(7);
+  for (std::uint32_t id = 0; id < kEntries; ++id) {
+    heap.schedule_session(id, rng.uniform(0.0, kTick));
+  }
+  for (auto _ : state) {
+    const fleet::EventHeap::Event event = heap.top();
+    heap.pop();
+    heap.schedule_session(event.index, event.t + kTick);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Micro_EventHeapTick);
+
+// Flow churn on a 10-edge shared core (TopologySpec::sharded), re-keyed as
+// the fleet engine does. Each iteration, on the next path in turn, one of
+// its 8 flows leaves and a new one joins, and the marked channels are
+// synced. The leave dirties all 10 paths either way; the join dirties its
+// own path and marks the other 9 deferred. Arg 0 re-keys every marked
+// channel eagerly (the behaviour before lazy join re-keys); Arg 1 defers,
+// then settles the heap top as the engine's loop head does. As in a fleet,
+// a session tick (0.125 s out) sits above the completions (20-40 s out),
+// so a deferred key is re-derived only if a leave does not re-key it first.
+void BM_Micro_SharedCoreJoin(benchmark::State& state) {
+  const bool lazy = state.range(0) != 0;
+  constexpr std::size_t kPaths = 10;
+  constexpr std::uint32_t kFlowsPerPath = 8;
+  fleet::Topology topo(fleet::TopologySpec::sharded(
+      static_cast<int>(kPaths), BandwidthTrace::constant(4000.0),
+      BandwidthTrace::constant(2000.0),
+      BandwidthTrace::square_wave(6000.0, 12000.0, 8.0, 8.0)));
+  std::vector<Channel*> links;
+  for (std::size_t p = 0; p < kPaths; ++p) links.push_back(topo.path_channel(p).get());
+  fleet::EventHeap heap(1, static_cast<std::uint32_t>(kPaths));
+  const auto sync = [&] {
+    for (const std::uint32_t idx : topo.dirty_channels()) heap.sync_link(idx, *links[idx]);
+    for (const std::uint32_t idx : topo.deferred_channels()) {
+      if (topo.is_dirty(idx)) continue;
+      if (lazy) {
+        heap.defer_link(idx);
+      } else {
+        heap.sync_link(idx, *links[idx]);
+      }
+    }
+    topo.clear_dirty();
+    heap.settle(links);
+  };
+  // 3 Mbit at the core's 75-150 kbps per-flow share: due 20-40 s out,
+  // while a flow lives 80 iterations of 1 ms.
+  constexpr double kTargetKbit = 3000.0;
+  double now = 0.0;
+  for (std::size_t p = 0; p < kPaths; ++p) {
+    for (std::uint32_t f = 0; f < kFlowsPerPath; ++f) {
+      const double v = links[p]->add_flow(now);
+      links[p]->register_completion(static_cast<std::uint32_t>(p) * kFlowsPerPath + f,
+                                    v + kTargetKbit);
+    }
+  }
+  sync();
+  std::array<std::uint32_t, kPaths> next_slot{};
+  std::size_t p = 0;
+  for (auto _ : state) {
+    now += 1e-3;
+    heap.schedule_session(0, now + 0.125);
+    const std::uint32_t token =
+        static_cast<std::uint32_t>(p) * kFlowsPerPath + next_slot[p];
+    next_slot[p] = (next_slot[p] + 1) % kFlowsPerPath;
+    links[p]->remove_flow(now);
+    links[p]->unregister_completion(token);
+    sync();
+    const double v = links[p]->add_flow(now);
+    links[p]->register_completion(token, v + kTargetKbit);
+    sync();
+    p = (p + 1) % kPaths;
+  }
+  state.SetLabel(lazy ? "lazy" : "eager");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["rekeys_per_iter"] = benchmark::Counter(
+      static_cast<double>(heap.stats().link_syncs) /
+      static_cast<double>(std::max<std::int64_t>(1, state.iterations())));
+}
+BENCHMARK(BM_Micro_SharedCoreJoin)->Arg(0)->Arg(1);
 
 void BM_Micro_FullSession(benchmark::State& state) {
   const ex::ExperimentSetup setup =

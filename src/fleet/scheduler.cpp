@@ -302,16 +302,25 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
   obs::PhaseStats* const register_stats =
       config_.profile ? &profile.register_phase : nullptr;
   obs::PhaseStats* const admit_stats = config_.profile ? &profile.admit : nullptr;
-  // Per-drain-phase link re-keying over the *dirty* set: a path's clock
-  // moves iff the topology marks it dirty (population changes mark exactly
-  // the affected set), so re-keying the dirty channels keeps every heap
-  // link key exact after each call — the same invariant the historical
-  // sync-all-links-after-every-event loop maintained, at a fraction of the
-  // work.
+  // Per-drain-phase link re-keying over the *marked* set: a path's clock
+  // moves iff the topology marks it (population changes mark exactly the
+  // affected set). Dirty channels are re-keyed now; deferred ones (a
+  // sibling's join, keys that can only move later) keep a guarded lower
+  // bound until settle() meets them at the heap top (event_heap.h). Every
+  // key read through top() after settle() is therefore exact — the same
+  // pop order the historical sync-all-links-after-every-event loop had, at
+  // a fraction of the work.
   topology_.clear_dirty();
-  const auto sync_dirty = [&] {
+  std::uint64_t marked = 0;
+  const auto sync_marked = [&] {
     for (const std::uint32_t idx : topology_.dirty_channels()) {
       heap.sync_link(idx, *links[idx]);
+    }
+    marked += topology_.dirty_channels().size();
+    for (const std::uint32_t idx : topology_.deferred_channels()) {
+      if (topology_.is_dirty(idx)) continue;  // dirty wins: already exact
+      heap.defer_link(idx);
+      ++marked;
     }
     topology_.clear_dirty();
   };
@@ -350,6 +359,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       ArenaAllocator<std::uint32_t>(&arena_)};
   admit_due();
   while (true) {
+    heap.settle(links);
     const double t_event =
         heap.empty() ? std::numeric_limits<double>::infinity() : heap.top().t;
     const double t_arrival = next_arrival < plans.size()
@@ -414,20 +424,24 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
     // Phase A: every session with its own event at t. One batch pop is
     // exhaustive — processing a session cannot schedule another session at
     // t (keys re-key only at registration), so the due set is exactly what
-    // the heap holds now.
+    // the heap holds now. Popping marks nothing, and the loop head settled
+    // the top, so every deferred link entry still sorts after them.
     batch.clear();
     while (!heap.empty() && !heap.top().is_link && heap.top().t <= t) {
       batch.push_back(heap.top().index);
       heap.pop();
     }
     for (const std::uint32_t id : batch) process(id, false);
-    sync_dirty();
+    sync_marked();
 
     // Phase B: link completions at t, one at a time — firing one can
     // surface another (on the same link, or on a different link through a
     // population change), and the (key, id) pop order must decide what
-    // fires next exactly as the per-event-sync loop did.
-    while (!heap.empty() && heap.top().t <= t) {
+    // fires next exactly as the per-event-sync loop did. settle() first, so
+    // a deferred key lowered below t is never mistaken for a due event.
+    while (true) {
+      heap.settle(links);
+      if (heap.empty() || heap.top().t > t) break;
       if (++guard > 10000000) {
         DMX_ERROR << "event-heap engine wedged at t=" << t << " — aborting drain";
         assert(false && "event drain did not converge");
@@ -439,7 +453,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       assert(event.is_link && "session entry surfaced during link phase");
       // The link's earliest registered completion is due: route the event
       // to the owning session (token = 2*id + is_video). Firing it marks
-      // the link dirty, so sync_dirty() below re-keys or clears the entry.
+      // the link dirty, so sync_marked() below re-keys or clears the entry.
       Channel& link = *links[event.index];
       if (!link.has_completions()) {
         heap.sync_link(static_cast<std::uint32_t>(event.index), link);
@@ -447,7 +461,7 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       }
       process(link.earliest_completion_token() / 2u, true);
       touched_unordered = true;
-      sync_dirty();
+      sync_marked();
     }
     drain_timer.reset();
 
@@ -465,16 +479,18 @@ double FleetScheduler::run_event_heap(const std::vector<ClientPlan>& plans) {
       client.session->begin_step();
       schedule(client);
     }
-    sync_dirty();
+    sync_marked();
     register_timer.reset();
 
     // Admissions exactly at t join after the events at t, as in the barrier.
     admit_due();
   }
   profile.heap_pops = heap.stats().pops;
-  // Every sync re-keys, so checks and refreshes are the same count.
-  profile.link_sync_checks = heap.stats().link_syncs;
+  // Checks: channels marked dirty or deferred. Refreshes: actual re-keys,
+  // eager or at the heap top; the gap is the deferral's saving.
+  profile.link_sync_checks = marked;
   profile.link_sync_refreshes = heap.stats().link_syncs;
+  profile.lower_bound_misses = heap.stats().lower_bound_misses;
   return now;
 }
 

@@ -15,7 +15,8 @@
 //  * kEventHeap (default): an indexed min-heap keys each session on its own
 //    next *local* event time and each topology channel on its earliest
 //    registered completion (re-keyed when the topology marks the channel
-//    dirty). Only the sessions with events at time t are touched; everyone
+//    dirty, or at the heap top when a sibling's join only deferred it).
+//    Only the sessions with events at time t are touched; everyone
 //    else is advanced implicitly through the channels' virtual-time service
 //    integrals. O(log N) per event.
 //

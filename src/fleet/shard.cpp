@@ -53,6 +53,7 @@ void merge_profiles(obs::EngineProfile& into, const obs::EngineProfile& from) {
   into.heap_pops += from.heap_pops;
   into.link_sync_checks += from.link_sync_checks;
   into.link_sync_refreshes += from.link_sync_refreshes;
+  into.lower_bound_misses += from.lower_bound_misses;
 }
 
 }  // namespace

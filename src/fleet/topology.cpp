@@ -383,8 +383,9 @@ Topology::Topology(TopologySpec spec, MonotonicArena* arena) {
     }
   }
 
-  channel_dirty_.assign(channel_count, 0);
+  channel_mark_.assign(channel_count, kMarkClean);
   dirty_channels_.reserve(channel_count);
+  deferred_channels_.reserve(channel_count);
 }
 
 std::shared_ptr<Channel> Topology::path_channel(std::size_t p) {
@@ -433,17 +434,19 @@ void Topology::population_change(std::size_t p, int delta, double now) {
     }
   }
   // Every affected path's completion predictions went stale (its rate, or
-  // its binding constraint, may have moved): record them on the dirty list
-  // the event-heap engine re-keys per drain phase.
+  // its binding constraint, may have moved). A leave can pull keys earlier,
+  // so every affected path is dirty: the engine re-keys it this drain
+  // phase. A join only lowers fair shares, so only p (whose registry is
+  // about to change) is dirty; the others' keys can only move later and
+  // are deferred until they reach the heap top (topology.h).
   {
     const std::uint32_t* const aff = aff_paths_csr_.data() + aff_paths_offsets_[p];
     const std::size_t count = aff_paths_offsets_[p + 1] - aff_paths_offsets_[p];
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t q = aff[i];
-      if (channel_dirty_[q] == 0) {
-        channel_dirty_[q] = 1;
-        dirty_channels_.push_back(q);
-      }
+    if (delta < 0) {
+      for (std::size_t i = 0; i < count; ++i) mark_dirty(aff[i]);
+    } else {
+      mark_dirty(static_cast<std::uint32_t>(p));
+      for (std::size_t i = 0; i < count; ++i) mark_deferred(aff[i]);
     }
   }
 }

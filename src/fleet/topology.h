@@ -17,9 +17,12 @@
 // flow's bytes are an integral difference and the event-heap engine stays
 // O(log N + affected-topology-size) per event. Completion targets are
 // values of V_P — invariant under population and capacity changes — keyed
-// per path; a binding-constraint move re-keys them because the population
-// change marks every affected path dirty (dirty_channels(), read by the
-// engine in fleet/scheduler.cpp).
+// per path. A population change marks the affected paths whose completion
+// keys may have moved (dirty_channels() / deferred_channels(), read by the
+// engine in fleet/scheduler.cpp): a leave can move keys earlier, so it
+// marks the whole affected set dirty; a join only lowers fair shares, so it
+// marks the joining path dirty and the rest deferred — their keys can only
+// move later, and the engine re-keys them when they reach the heap top.
 //
 // Hot-path layout (DESIGN.md §12): every per-path hop list, per-link rider
 // set, and affected set is flattened at construction into contiguous
@@ -307,22 +310,44 @@ class Topology {
   /// Name one obs trace track per link (obs::kLinkTrackBase + index).
   void name_trace_tracks() const;
 
-  // --- Engine dirty-channel tracking (fleet/scheduler.cpp). ---
+  // --- Engine stale-key tracking (fleet/scheduler.cpp). ---
   //
-  // Every population change records each affected channel's index here
-  // (deduplicated) — the one record of which completion keys may have
-  // moved, so the event-heap engine re-syncs exactly those channels instead
-  // of sweeping every channel after every event.
+  // Every population change records each affected channel's index in one
+  // of two lists (deduplicated) — the one record of which completion keys
+  // may have moved, so the event-heap engine touches exactly those channels
+  // instead of sweeping every channel after every event.
+  //
+  // Deferral invariant: a join on path p only lowers fair shares, so in
+  // exact arithmetic every *other* affected path's completion time can
+  // only move later, and its old heap key stays a lower bound of its fresh
+  // one. Those paths are marked deferred; p itself (its registry changed)
+  // and every path affected by a leave (which can move keys earlier) are
+  // marked dirty. Floating point breaks the bound by a few ulps — advancing
+  // V at the join re-partitions the integral, so an unchanged-rate key can
+  // come out up to ~1e-15 relative below the stored one — which
+  // fleet::EventHeap::defer_link covers with a guard margin.
 
-  /// Channels whose clocks or rates moved since the last clear_dirty(), in
-  /// first-dirtied order. Order is irrelevant to consumers: syncing writes
-  /// absolute keys, so any re-sync order yields the same heap state.
+  /// Channels to re-key now, since the last clear_dirty(), in first-marked
+  /// order. Order is irrelevant to consumers: syncing writes absolute keys,
+  /// so any re-sync order yields the same pop order.
   [[nodiscard]] const std::vector<std::uint32_t>& dirty_channels() const {
     return dirty_channels_;
   }
+  /// Channels whose keys can only have moved later, since the last
+  /// clear_dirty(), in first-marked order. A channel dirtied after it was
+  /// deferred stays listed here too; is_dirty() tells, and dirty wins.
+  [[nodiscard]] const std::vector<std::uint32_t>& deferred_channels() const {
+    return deferred_channels_;
+  }
+  [[nodiscard]] bool is_dirty(std::size_t p) const {
+    return channel_mark_[p] == kMarkDirty;
+  }
+  /// Forget both lists.
   void clear_dirty() {
-    for (const std::uint32_t p : dirty_channels_) channel_dirty_[p] = 0;
+    for (const std::uint32_t p : dirty_channels_) channel_mark_[p] = kMarkClean;
+    for (const std::uint32_t p : deferred_channels_) channel_mark_[p] = kMarkClean;
     dirty_channels_.clear();
+    deferred_channels_.clear();
   }
 
   // --- Invariant-test hooks (tests/test_fleet_topology.cpp). ---
@@ -376,11 +401,24 @@ class Topology {
   /// The one mutation point: path `p` gains (+1) or loses (-1) a flow at
   /// `now`. Advances every affected path's V and every affected link's
   /// books to `now` with the OLD populations, then mutates counts and
-  /// marks every affected path dirty — preserving the invariant that a
-  /// path's clock moves iff the topology marks it dirty, which is what
-  /// keeps event-heap keys exact (never stale by a partitioning
-  /// difference).
+  /// marks every affected path dirty or deferred — preserving the
+  /// invariant that a path's clock moves iff the topology marks it, which
+  /// is what keeps event-heap keys exact once re-keyed (never stale by a
+  /// partitioning difference).
   void population_change(std::size_t p, int delta, double now);
+
+  /// Dirty wins over deferred: a deferred channel dirtied later joins
+  /// dirty_channels_ and stays in deferred_channels_.
+  void mark_dirty(std::uint32_t p) {
+    if (channel_mark_[p] == kMarkDirty) return;
+    channel_mark_[p] = kMarkDirty;
+    dirty_channels_.push_back(p);
+  }
+  void mark_deferred(std::uint32_t p) {
+    if (channel_mark_[p] != kMarkClean) return;
+    channel_mark_[p] = kMarkDeferred;
+    deferred_channels_.push_back(p);
+  }
 
   void advance_path(std::size_t p, double now);
   void advance_link(std::size_t l, double now);
@@ -429,10 +467,14 @@ class Topology {
   std::vector<std::uint32_t> aff_links_csr_;
   std::vector<std::uint32_t> aff_links_offsets_;
 
-  /// Dirty-channel accumulator: indices appended at population change, flag
-  /// array dedupes.
+  /// Stale-key accumulators: indices appended at population change, the
+  /// mark array dedupes (a channel's strongest mark since clear_dirty()).
+  static constexpr std::uint8_t kMarkClean = 0;
+  static constexpr std::uint8_t kMarkDeferred = 1;
+  static constexpr std::uint8_t kMarkDirty = 2;
   std::vector<std::uint32_t> dirty_channels_;
-  std::vector<std::uint8_t> channel_dirty_;
+  std::vector<std::uint32_t> deferred_channels_;
+  std::vector<std::uint8_t> channel_mark_;
 };
 
 }  // namespace demuxabr::fleet

@@ -20,10 +20,11 @@ std::string EngineProfile::to_json() const {
   out += phase_json("admit", admit) + ",";
   out += format(
       "\"heap_pops\":%llu,\"link_sync_checks\":%llu,"
-      "\"link_sync_refreshes\":%llu",
+      "\"link_sync_refreshes\":%llu,\"lower_bound_misses\":%llu",
       static_cast<unsigned long long>(heap_pops),
       static_cast<unsigned long long>(link_sync_checks),
-      static_cast<unsigned long long>(link_sync_refreshes));
+      static_cast<unsigned long long>(link_sync_refreshes),
+      static_cast<unsigned long long>(lower_bound_misses));
   return out + "}";
 }
 
@@ -42,10 +43,12 @@ std::string EngineProfile::to_table() const {
   row("admit", admit);
   out += format("  total     %9.3f\n", total_wall_s());
   out += format(
-      "  heap_pops=%llu link_sync_checks=%llu refreshes=%llu\n",
+      "  heap_pops=%llu link_sync_checks=%llu refreshes=%llu "
+      "lower_bound_misses=%llu\n",
       static_cast<unsigned long long>(heap_pops),
       static_cast<unsigned long long>(link_sync_checks),
-      static_cast<unsigned long long>(link_sync_refreshes));
+      static_cast<unsigned long long>(link_sync_refreshes),
+      static_cast<unsigned long long>(lower_bound_misses));
   return out;
 }
 

@@ -3,8 +3,9 @@
 // (drain / register / admit) instead of "the engine got slower".
 //
 // Wall-clock reads only happen when profiling was requested
-// (FleetConfig::profile); the heap's structural counters (pops, link
-// re-keys) are plain integer increments and are always collected.
+// (FleetConfig::profile); the heap's structural counters (pops, marked
+// channels, link re-keys) are plain integer increments and are always
+// collected.
 #pragma once
 
 #include <chrono>
@@ -33,12 +34,19 @@ struct EngineProfile {
 
   /// Heap structure counters (always collected, engine=event_heap only).
   std::uint64_t heap_pops = 0;
-  /// Link re-keys (EventHeap::sync_link calls), each an O(log F) registry
-  /// lookup + O(log N) heap update. The engine re-keys exactly the dirty
-  /// channels, so checks and refreshes carry the same count; both keys stay
-  /// in the report schema (the benchmark harness reads each).
+  /// Channels the topology marked dirty or deferred, as the engine consumed
+  /// them (Topology::dirty_channels / deferred_channels, deduplicated per
+  /// drain phase).
   std::uint64_t link_sync_checks = 0;
+  /// Link re-keys actually made (EventHeap::sync_link, eager or at the heap
+  /// top), each an O(log F) registry lookup + a completion-time walk +
+  /// O(log N) heap update. checks − refreshes is what lazy join re-keys
+  /// saved.
   std::uint64_t link_sync_refreshes = 0;
+  /// Deferred re-keys whose fresh key fell below the stored lower bound
+  /// (EventHeap::Stats::lower_bound_misses); anything but 0 means the
+  /// guard margin is too small.
+  std::uint64_t lower_bound_misses = 0;
 
   [[nodiscard]] double total_wall_s() const {
     return drain.wall_s + register_phase.wall_s + admit.wall_s;

@@ -1,14 +1,15 @@
-// Indexed d-ary min-heap (kArity below) over dense integer ids with
+// Indexed binary min-heap (kArity below) over dense integer ids with
 // deterministic (key, id) ordering. The index makes decrease-key/erase
 // O(log n) by id — the primitive under both the fleet event heap (entries
 // keyed by wall-clock event time) and each Link's completion registry
 // (entries keyed by virtual-service targets, which never change when the
 // flow population or capacity does).
 //
-// The arity and the hole-based sifts are pure layout/performance choices:
-// the heap's observable behaviour — pop order, key_of, contains — is the
-// total (key, id) order, identical for any internal arrangement, so
-// engines built on this heap produce byte-identical results regardless.
+// The arity, the hole-based sifts and the bottom-up pop are pure layout/
+// performance choices: the heap's observable behaviour — pop order,
+// key_of, contains — is the total (key, id) order, identical for any
+// internal arrangement, so engines built on this heap produce
+// byte-identical results regardless.
 #pragma once
 
 #include <cassert>
@@ -80,10 +81,34 @@ class BasicIndexedMinHeap {
     return heap_.front();
   }
 
+  /// Bottom-up pop: the root's hole walks to a leaf along the smaller child
+  /// (one branch-free compare per level, no compare against the displaced
+  /// entry), then the former last entry fills it and sifts up — usually
+  /// not far, since it came from the bottom. One compare per level where a
+  /// sift_down from the root makes two.
   Entry pop() {
     assert(!heap_.empty());
     const Entry result = heap_.front();
-    erase(result.id);
+    pos_[result.id] = -1;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return result;
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    while (child + 1 < n) {
+      child += static_cast<std::size_t>(less(heap_[child + 1], heap_[child]));
+      move_to(hole, child);
+      hole = child;
+      child = 2 * hole + 1;
+    }
+    if (child < n) {  // a lone last child
+      move_to(hole, child);
+      hole = child;
+    }
+    heap_[hole] = last;
+    pos_[last.id] = static_cast<std::int32_t>(hole);
+    sift_up(hole);
     return result;
   }
 
@@ -110,9 +135,11 @@ class BasicIndexedMinHeap {
   /// Strict-weak order: key, then id. The id tiebreak makes pop order (and
   /// therefore every engine built on this heap) deterministic when several
   /// entries share a key.
+  /// Written with non-short-circuit `|` and `&` so the compiler emits
+  /// flag arithmetic rather than a data-dependent branch: the child choice
+  /// in pop and sift_down is a coin flip the predictor cannot learn.
   [[nodiscard]] static bool less(const Entry& a, const Entry& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.id < b.id;
+    return (a.key < b.key) | ((a.key == b.key) & (a.id < b.id));
   }
 
   void ensure_slot(std::uint32_t id) {
@@ -121,9 +148,16 @@ class BasicIndexedMinHeap {
 
   /// Branching factor. 2 measured best on the drain-loop mix (the decrease-
   /// key-heavy registry favours the shallower sift_down comparisons of a
-  /// binary layout over 4-ary's cache density); any value preserves
-  /// observable behaviour.
+  /// binary layout over 4-ary's cache density). pop and sift_down pick the
+  /// smaller of exactly two children branch-free, so they assume it.
   static constexpr std::size_t kArity = 2;
+  static_assert(kArity == 2, "pop and sift_down choose between two children");
+
+  /// Hole step: the entry at `from` moves up into the hole at `to`.
+  void move_to(std::size_t to, std::size_t from) {
+    heap_[to] = heap_[from];
+    pos_[heap_[to].id] = static_cast<std::int32_t>(to);
+  }
 
   /// Hole-based sift: the displaced entry is held aside while ancestors
   /// shift down, so each level costs one entry move + one index write
@@ -134,8 +168,7 @@ class BasicIndexedMinHeap {
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
       if (!less(entry, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      pos_[heap_[i].id] = static_cast<std::int32_t>(i);
+      move_to(i, parent);
       i = parent;
       moved = true;
     }
@@ -151,17 +184,14 @@ class BasicIndexedMinHeap {
     const Entry entry = heap_[i];
     bool moved = false;
     while (true) {
-      const std::size_t first = kArity * i + 1;
-      if (first >= n) break;
-      std::size_t smallest = first;
-      const std::size_t end = first + kArity < n ? first + kArity : n;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (less(heap_[c], heap_[smallest])) smallest = c;
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n) {
+        child += static_cast<std::size_t>(less(heap_[child + 1], heap_[child]));
       }
-      if (!less(heap_[smallest], entry)) break;
-      heap_[i] = heap_[smallest];
-      pos_[heap_[i].id] = static_cast<std::int32_t>(i);
-      i = smallest;
+      if (!less(heap_[child], entry)) break;
+      move_to(i, child);
+      i = child;
       moved = true;
     }
     if (moved) {

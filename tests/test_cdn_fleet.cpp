@@ -175,6 +175,7 @@ TEST(CacheFleet, BarrierAndEventHeapFingerprintsIdenticalWithCaches) {
   ASSERT_FALSE(barrier.cdns.empty());
   EXPECT_EQ(fleet_fingerprint(heap), fleet_fingerprint(barrier));
   EXPECT_EQ(heap.client_digest, barrier.client_digest);
+  EXPECT_EQ(heap.profile.lower_bound_misses, 0u);
 }
 
 TEST(CacheFleet, ShardedFingerprintByteIdenticalAcrossThreadCounts) {

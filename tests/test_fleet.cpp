@@ -267,6 +267,8 @@ void expect_engines_identical(const ex::ExperimentSetup& setup,
         << "client " << barrier.clients[i].id;
   }
   EXPECT_EQ(fleet_fingerprint(barrier), fleet_fingerprint(heap));
+  // Every deferred link key stayed a lower bound of its fresh key.
+  EXPECT_EQ(heap.profile.lower_bound_misses, 0u);
 }
 
 TEST(CrossEngine, IdenticalOnPaperTraceAcrossFleetSizes) {

@@ -72,7 +72,10 @@ class GoldenFleet : public ::testing::Test {
       BandwidthTrace::square_wave(1500.0, 4000.0, 20.0, 30.0);
 
   FleetResult run(const FleetConfig& config) const {
-    return run_fleet(setup_.content, setup_.view, bottleneck_, config);
+    FleetResult result = run_fleet(setup_.content, setup_.view, bottleneck_, config);
+    // Lazy join re-keys: every deferred link key stayed a lower bound.
+    EXPECT_EQ(result.profile.lower_bound_misses, 0u);
+    return result;
   }
 };
 

@@ -208,6 +208,7 @@ TEST(ShardedFleet, FullLogFingerprintByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(sharded.client_digest, serial.client_digest)
         << "threads=" << threads;
     EXPECT_EQ(sharded.steps, serial.steps) << "threads=" << threads;
+    EXPECT_EQ(sharded.profile.lower_bound_misses, 0u) << "threads=" << threads;
   }
 }
 

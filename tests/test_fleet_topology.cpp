@@ -9,13 +9,16 @@
 //     link's delivered integral), residual_flows == 0, the min-share
 //     bound (a path's rate/integral never exceeds any hop's fair share),
 //     and bit-exact agreement of a 1-hop path with a plain net/link.h Link.
-//     A second seeded suite checks the dirty set, the engine's only record
-//     of which completion keys moved: one population change on path p
-//     dirties exactly the paths sharing a link with p.
+//     A second seeded suite checks the dirty and deferred sets, the
+//     engine's only record of which completion keys moved: a leave on path
+//     p dirties exactly the paths sharing a link with p; a join dirties p
+//     and defers the other sharers. A third drives the engine's sync rules
+//     against an EventHeap on time-varying traces and checks that every
+//     deferred channel's stored key stays a lower bound of its fresh key.
 //  3. Regression: finalize on never-used links (idle tail, 0/0 utilization
 //     guard) and completion re-keying when the binding constraint moves
-//     mid-flow (the dirty set names the moved path, and re-keying it moves
-//     the heap key).
+//     mid-flow (the join defers the moved path, and its stale key is
+//     re-derived once it reaches the heap top).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,6 +83,8 @@ FleetResult expect_engines_identical(const ex::ExperimentSetup& setup,
         << "client " << barrier.clients[i].id;
   }
   EXPECT_EQ(fleet_fingerprint(barrier), fleet_fingerprint(heap));
+  // Every deferred link key stayed a lower bound of its fresh key.
+  EXPECT_EQ(heap.profile.lower_bound_misses, 0u);
   return heap;
 }
 
@@ -205,6 +210,13 @@ BandwidthTrace random_trace(Rng& rng) {
                                        rng.uniform(2.0, 15.0));
   }
   return BandwidthTrace::constant(base);
+}
+
+/// Square wave with random levels and phases: every hop's capacity moves.
+BandwidthTrace random_varying_trace(Rng& rng) {
+  const double base = rng.uniform(600.0, 5000.0);
+  return BandwidthTrace::square_wave(base * rng.uniform(0.2, 0.7), base,
+                                     rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0));
 }
 
 /// Random tiered topology: depth <= 3 (access → edge → core), fan-in <= 8
@@ -341,12 +353,14 @@ TEST(TopologyProperty, RandomTopologiesHoldInvariantsOver200Cases) {
 
 /// Random cache-less topology whose paths share links only in part: 2..8
 /// links and 1..8 paths of 1..3 distinct random hops, so a path's sharers
-/// range from itself alone to every path.
-TopologySpec random_partial_spec(Rng& rng) {
+/// range from itself alone to every path. `time_varying` makes every link a
+/// square wave (otherwise about a third are).
+TopologySpec random_partial_spec(Rng& rng, bool time_varying = false) {
   TopologySpec spec;
   const std::int64_t link_count = rng.uniform_int(2, 8);
   for (std::int64_t l = 0; l < link_count; ++l) {
-    spec.add_link(format("link-%d", static_cast<int>(l)), random_trace(rng));
+    spec.add_link(format("link-%d", static_cast<int>(l)),
+                  time_varying ? random_varying_trace(rng) : random_trace(rng));
   }
   const std::int64_t path_count = rng.uniform_int(1, 8);
   for (std::int64_t p = 0; p < path_count; ++p) {
@@ -369,25 +383,50 @@ std::vector<std::uint32_t> sorted_dirty(const Topology& topo) {
   return dirty;
 }
 
+/// Sorted copy of the topology's deferred set, minus channels dirtied since.
+std::vector<std::uint32_t> sorted_deferred(const Topology& topo) {
+  std::vector<std::uint32_t> deferred;
+  for (const std::uint32_t p : topo.deferred_channels()) {
+    if (!topo.is_dirty(p)) deferred.push_back(p);
+  }
+  std::sort(deferred.begin(), deferred.end());
+  return deferred;
+}
+
+/// `all` without `p`.
+std::vector<std::uint32_t> without(std::vector<std::uint32_t> all, std::size_t p) {
+  all.erase(std::remove(all.begin(), all.end(), static_cast<std::uint32_t>(p)),
+            all.end());
+  return all;
+}
+
+/// For each path p of `spec`, the paths sharing a link with p (p included),
+/// ascending.
+std::vector<std::vector<std::uint32_t>> sharers_of(const TopologySpec& spec) {
+  std::vector<std::vector<std::uint32_t>> sharers(spec.paths.size());
+  for (std::size_t p = 0; p < spec.paths.size(); ++p) {
+    for (std::size_t q = 0; q < spec.paths.size(); ++q) {
+      const std::vector<std::size_t>& a = spec.paths[p].hops;
+      const std::vector<std::size_t>& b = spec.paths[q].hops;
+      const bool shares = std::any_of(a.begin(), a.end(), [&](std::size_t l) {
+        return std::find(b.begin(), b.end(), l) != b.end();
+      });
+      if (shares) sharers[p].push_back(static_cast<std::uint32_t>(q));
+    }
+  }
+  return sharers;
+}
+
 TEST(TopologyProperty, DirtySetIsExactlyTheLinkSharingPaths) {
-  std::size_t partial_cases = 0;  // dirty sets strictly between {p} and all
+  std::size_t partial_cases = 0;  // sharer sets strictly between {p} and all
   for (std::uint64_t seed = 1; seed <= 220; ++seed) {
     SCOPED_TRACE(testing::Message() << "case seed " << seed);
     Rng rng(seed);
     const TopologySpec spec = random_partial_spec(rng);
     ASSERT_EQ(spec.validate(), "");
-    // Expected dirty set of a change on p, from the spec alone.
-    std::vector<std::vector<std::uint32_t>> sharers(spec.paths.size());
-    for (std::size_t p = 0; p < spec.paths.size(); ++p) {
-      for (std::size_t q = 0; q < spec.paths.size(); ++q) {
-        const std::vector<std::size_t>& a = spec.paths[p].hops;
-        const std::vector<std::size_t>& b = spec.paths[q].hops;
-        const bool shares = std::any_of(a.begin(), a.end(), [&](std::size_t l) {
-          return std::find(b.begin(), b.end(), l) != b.end();
-        });
-        if (shares) sharers[p].push_back(static_cast<std::uint32_t>(q));
-      }
-    }
+    // Expected marks of a change on p, from the spec alone: a leave dirties
+    // every sharer; a join dirties p and defers the other sharers.
+    const std::vector<std::vector<std::uint32_t>> sharers = sharers_of(spec);
     Topology topo(spec);
     ASSERT_EQ(topo.channel_count(), spec.paths.size());
     std::vector<int> flows(spec.paths.size(), 0);
@@ -401,16 +440,22 @@ TEST(TopologyProperty, DirtySetIsExactlyTheLinkSharingPaths) {
       if (flows[p] > 0 && rng.bernoulli(0.45)) {
         channel->remove_flow(now);
         --flows[p];
+        EXPECT_EQ(sorted_dirty(topo), sharers[p]) << "leave on path " << p;
+        EXPECT_TRUE(topo.deferred_channels().empty()) << "leave on path " << p;
       } else {
         channel->add_flow(now);
         ++flows[p];
+        EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{
+                                          static_cast<std::uint32_t>(p)}))
+            << "join on path " << p;
+        EXPECT_EQ(sorted_deferred(topo), without(sharers[p], p)) << "join on path " << p;
       }
-      EXPECT_EQ(sorted_dirty(topo), sharers[p]) << "change on path " << p;
       if (sharers[p].size() > 1 && sharers[p].size() < spec.paths.size()) {
         ++partial_cases;
       }
       topo.clear_dirty();
       EXPECT_TRUE(topo.dirty_channels().empty());
+      EXPECT_TRUE(topo.deferred_channels().empty());
     }
     for (std::size_t p = 0; p < flows.size(); ++p) {
       for (; flows[p] > 0; --flows[p]) topo.path_channel(p)->remove_flow(now);
@@ -418,6 +463,84 @@ TEST(TopologyProperty, DirtySetIsExactlyTheLinkSharingPaths) {
   }
   // The generator produced paths that share some links but not all.
   EXPECT_GT(partial_cases, 100u);
+}
+
+TEST(TopologyProperty, DeferredKeysStayLowerBoundsOnTimeVaryingTraces) {
+  // The engine's sync rules (fleet/scheduler.cpp) against a bare EventHeap:
+  // completions fire at the settled top, joins and aborts arrive at random
+  // times in between, and every link in every topology is a square wave,
+  // so keys move with capacity segments as well as populations. After each
+  // sync, every deferred channel's stored key must stay at or below its
+  // freshly computed key, and every settled top must be exact.
+  std::uint64_t deferred_checks = 0;
+  std::uint64_t completions = 0;
+  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
+    SCOPED_TRACE(testing::Message() << "case seed " << seed);
+    Rng rng(seed);
+    const TopologySpec spec = random_partial_spec(rng, /*time_varying=*/true);
+    ASSERT_EQ(spec.validate(), "");
+    Topology topo(spec);
+    const std::size_t n = topo.channel_count();
+    std::vector<Channel*> links;
+    for (std::size_t p = 0; p < n; ++p) links.push_back(topo.path_channel(p).get());
+    EventHeap heap(/*session_count=*/0, static_cast<std::uint32_t>(n));
+    std::vector<std::vector<std::uint32_t>> live(n);  // tokens per path
+    std::uint32_t next_token = 0;
+    double now = 0.0;
+    const auto drop = [&](std::size_t p, std::uint32_t token) {
+      live[p].erase(std::find(live[p].begin(), live[p].end(), token));
+      links[p]->remove_flow(now);
+      links[p]->unregister_completion(token);
+    };
+
+    topo.clear_dirty();
+    for (int e = 0; e < 80; ++e) {
+      heap.settle(links);
+      const double t_next = now + rng.exponential(0.5);
+      if (!heap.empty() && heap.top().t <= t_next) {
+        const EventHeap::Event top = heap.top();
+        ASSERT_TRUE(top.is_link);
+        EXPECT_FALSE(heap.link_deferred(top.index));
+        EXPECT_EQ(top.t, links[top.index]->earliest_completion_time());
+        now = std::max(now, top.t);
+        drop(top.index, links[top.index]->earliest_completion_token());
+        ++completions;
+      } else {
+        now = t_next;
+        const auto p = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        if (!live[p].empty() && rng.bernoulli(0.3)) {
+          const auto pick = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(live[p].size()) - 1));
+          drop(p, live[p][pick]);  // an abort
+        } else {
+          const double v = links[p]->add_flow(now);
+          links[p]->register_completion(next_token, v + rng.uniform(200.0, 30000.0));
+          live[p].push_back(next_token++);
+        }
+      }
+      for (const std::uint32_t idx : topo.dirty_channels()) {
+        heap.sync_link(idx, *links[idx]);
+      }
+      for (const std::uint32_t idx : topo.deferred_channels()) {
+        if (!topo.is_dirty(idx)) heap.defer_link(idx);
+      }
+      topo.clear_dirty();
+      for (std::uint32_t q = 0; q < n; ++q) {
+        if (!heap.has_link(q) || !heap.link_deferred(q)) continue;
+        EXPECT_LE(heap.link_key(q), links[q]->earliest_completion_time())
+            << "deferred path " << q << " at t=" << now;
+        ++deferred_checks;
+      }
+    }
+    EXPECT_EQ(heap.stats().lower_bound_misses, 0u);
+    for (std::size_t p = 0; p < n; ++p) {
+      while (!live[p].empty()) drop(p, live[p].back());
+    }
+  }
+  // Both branches ran often: deferred keys were checked, completions fired.
+  EXPECT_GT(deferred_checks, 2000u);
+  EXPECT_GT(completions, 1000u);
 }
 
 TEST(TopologyRegression, DisjointChainDirtiesOnlyItself) {
@@ -433,9 +556,11 @@ TEST(TopologyRegression, DisjointChainDirtiesOnlyItself) {
   topo.clear_dirty();
   topo.path_channel(1)->add_flow(1.0);
   EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{1}));
+  EXPECT_TRUE(sorted_deferred(topo).empty());
   topo.clear_dirty();
   topo.path_channel(1)->remove_flow(2.0);
   EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{1}));
+  EXPECT_TRUE(topo.deferred_channels().empty());
   topo.clear_dirty();
   EXPECT_TRUE(topo.dirty_channels().empty());
 }
@@ -444,14 +569,20 @@ TEST(TopologyRegression, SharedCoreDirtiesEveryPath) {
   Topology topo(TopologySpec::sharded(4, BandwidthTrace::constant(4000.0),
                                       BandwidthTrace::constant(2000.0),
                                       BandwidthTrace::constant(3000.0)));
+  // Every path shares the core, so every change marks every path: a join
+  // dirties the joiner and defers the rest (their keys can only move
+  // later); a leave dirties all of them.
   topo.clear_dirty();
   topo.path_channel(2)->add_flow(1.0);
-  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(sorted_deferred(topo), (std::vector<std::uint32_t>{0, 1, 3}));
   topo.clear_dirty();
   topo.path_channel(2)->remove_flow(2.0);
   EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(topo.deferred_channels().empty());
   topo.clear_dirty();
   EXPECT_TRUE(topo.dirty_channels().empty());
+  EXPECT_TRUE(topo.deferred_channels().empty());
 }
 
 TEST(TopologyProperty, OneHopPathIsBitIdenticalToPlainLink) {
@@ -623,24 +754,41 @@ TEST(TopologyRegression, CompletionRekeyedWhenBindingConstraintMoves) {
 
   topo.clear_dirty();
   for (int i = 0; i < 5; ++i) b->add_flow(2.0);
-  // A population change on a sibling path sharing the core marks A dirty
-  // as well as B…
-  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{0, 1}));
-  // …and the re-derived completion lands later: 2 Mbit done in the first
-  // 2 s at 1000 kbps, the remaining 8 Mbit now trickles at core/6 = 500.
+  // Joins on a sibling path sharing the core dirty B and defer A: A's key
+  // can only move later…
+  EXPECT_EQ(sorted_dirty(topo), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(sorted_deferred(topo), (std::vector<std::uint32_t>{0}));
+  // …and the re-derived completion does land later: 2 Mbit done in the
+  // first 2 s at 1000 kbps, the remaining 8 Mbit now trickles at
+  // core/6 = 500.
   EXPECT_DOUBLE_EQ(a->earliest_completion_time(), 2.0 + 8000.0 / 500.0);
 
-  // Re-keying the dirty set, as the engine does, moves A's heap key.
+  // The engine's sync: dirty channels re-key now, deferred ones keep their
+  // stale key as a guarded lower bound.
   const std::vector<std::shared_ptr<Channel>> channels = {a, b};
   for (const std::uint32_t idx : topo.dirty_channels()) {
     heap.sync_link(idx, *channels[idx]);
   }
+  for (const std::uint32_t idx : topo.deferred_channels()) heap.defer_link(idx);
   topo.clear_dirty();
   EXPECT_TRUE(topo.dirty_channels().empty());
+  EXPECT_TRUE(topo.deferred_channels().empty());
+  ASSERT_FALSE(heap.empty());
+  EXPECT_TRUE(heap.link_deferred(0));
+  EXPECT_LE(heap.link_key(0), 10.0);
+  // Lowered by the guard margin only.
+  EXPECT_GE(heap.link_key(0), 10.0 * (1.0 - 2.0 * EventHeap::kDeferGuard));
+  EXPECT_FALSE(heap.has_link(1));  // B registered no completion
+
+  // Once A's stale key reaches the top, settling re-derives it: 10 -> 18.
+  const std::vector<Channel*> raw = {a.get(), b.get()};
+  heap.settle(raw);
   ASSERT_FALSE(heap.empty());
   EXPECT_TRUE(heap.top().is_link);
   EXPECT_EQ(heap.top().index, 0u);
   EXPECT_DOUBLE_EQ(heap.top().t, 18.0);
+  EXPECT_FALSE(heap.link_deferred(0));
+  EXPECT_EQ(heap.stats().lower_bound_misses, 0u);
 
   a->unregister_completion(0);
   a->remove_flow(4.0);

@@ -55,6 +55,7 @@ TEST(TopologyCrossEngineLarge, HundredClientsOverTenShards) {
         << "client " << barrier.clients[i].id;
   }
   EXPECT_EQ(fleet_fingerprint(barrier), fleet_fingerprint(heap));
+  EXPECT_EQ(heap.profile.lower_bound_misses, 0u);
 
   ASSERT_EQ(heap.links.size(), 21u);
   for (const LinkStats& link : heap.links) {

@@ -28,7 +28,7 @@ TEST(EngineProfileJson, SchemaKeysAreStable) {
   for (const char* key :
        {"\"enabled\"", "\"drain\"", "\"register\"", "\"admit\"", "\"wall_s\"",
         "\"calls\"", "\"heap_pops\"", "\"link_sync_checks\"",
-        "\"link_sync_refreshes\""}) {
+        "\"link_sync_refreshes\"", "\"lower_bound_misses\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
   }
 }
@@ -37,6 +37,10 @@ TEST(EngineProfileJson, ValuesRoundTrip) {
   const std::string json = sample_profile().to_json();
   EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"heap_pops\":1000"), std::string::npos);
+  // Checks (channels marked) and refreshes (re-keys made) are distinct.
+  EXPECT_NE(json.find("\"link_sync_checks\":400"), std::string::npos);
+  EXPECT_NE(json.find("\"link_sync_refreshes\":100"), std::string::npos);
+  EXPECT_NE(json.find("\"lower_bound_misses\":0"), std::string::npos);
   EXPECT_NE(json.find("\"drain\":{\"wall_s\":1.500000,\"calls\":300}"),
             std::string::npos);
 }

@@ -207,6 +207,7 @@ TEST(FleetTelemetry, CrossEngineTimelineIsByteIdentical) {
   ASSERT_TRUE(heap.timeline.has_value());
   EXPECT_GT(barrier.timeline->bin_count(), 0u);
   EXPECT_EQ(barrier.timeline->fingerprint(), heap.timeline->fingerprint());
+  EXPECT_EQ(heap.profile.lower_bound_misses, 0u);
   // The timeline is part of the full fleet fingerprint too.
   EXPECT_EQ(fleet_fingerprint(barrier), fleet_fingerprint(heap));
   EXPECT_NE(fleet_fingerprint(barrier).find("telemetry bin_s_mil"),
